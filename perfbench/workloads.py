@@ -16,6 +16,8 @@ and reports the per-layer metrics of the traced phase.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
 import math
 import resource
 import statistics
@@ -29,8 +31,13 @@ from repro.service import SOURCES, Engine, EngineCache, ScenarioSpec, SystemSpec
 
 import spans
 
-#: Set-ups per invocation; ``setup_s`` is their median.
-SETUPS = 5
+#: Set-ups per invocation; ``setup_s`` is their median.  It stays in raw
+#: seconds: set-up is mostly first touches of fresh clip memory, which the
+#: host probe does not track.
+SETUPS = 7
+#: A request's latency is divided by the median of the probes timed up to
+#: this many places before and after the one timed last before it.
+PROBE_WINDOW = 5
 
 TINY_CNN = {
     "name": "tiny-cnn",
@@ -62,13 +69,9 @@ STREAMS = {
         "policy": {"name": "temporal-reuse", "params": {"max_reuse": 3}},
     },
 }
-STREAM_CLIPS = 6
+STREAM_CLIPS = 12
 STREAM_FRAMES = 12
 STREAM_WINDOW = 12
-#: Cache-hit requests after each computed one: enough requests per run
-#: for a p99 with ten samples beyond it, at a fraction of a percent of
-#: the run's time.
-HITS_PER_MISS = 7
 
 #: serve-mix: the daemon, its hot set, and the never-seen specs per block
 #: of ten requests.
@@ -101,34 +104,72 @@ class Request:
     latency_s: float
     frames: int
     ok: bool = True
+    #: Index in ``Phase.probes`` of the probe timed last before it.
+    probe: int = 0
+
+
+@dataclasses.dataclass
+class Round:
+    """A stretch of a phase that gives one throughput sample."""
+
+    #: Requests that count toward throughput.
+    served: int
+    #: Seconds the program worked for them; the probe's time is not part of it.
+    busy_s: float
+    #: Index in ``Phase.probes`` of a probe timed within the round.
+    probe: int
 
 
 @dataclasses.dataclass
 class Phase:
-    """One timed phase: its requests, wall time and computed ledgers."""
+    """One timed phase: its requests, rounds, probes and computed ledgers."""
 
     requests: list[Request]
-    wall_s: float
+    rounds: list[Round]
     #: StreamOutcome of every computed (miss) request.
     computed: list
+    #: Durations of the host probe timed during the phase.
+    probes: list[float]
     #: The engine cache's counters over the phase (a CacheStats delta).
     cache: object = None
     #: serve-mix: the plan index of each request.
     indices: list[int] | None = None
-    #: Durations of the host probe timed during the phase.
-    probes: list[float] = dataclasses.field(default_factory=list)
 
     def latencies(self, hit: bool | None = None) -> list[float]:
         return [r.latency_s for r in self.requests if hit is None or r.hit == hit]
 
+    @functools.cached_property
+    def local_probes(self) -> list[float]:
+        """Per probe, the median of the probes timed around it."""
+        return [
+            statistics.median(self.probes[max(0, i - PROBE_WINDOW):i + PROBE_WINDOW + 1])
+            for i in range(len(self.probes))
+        ]
+
+    def in_probes(self, hit: bool) -> list[float]:
+        """Latencies of hit or of computed requests, each in local probe units."""
+        return [
+            r.latency_s / self.local_probes[r.probe] for r in self.requests if r.hit == hit
+        ]
+
+    @property
+    def busy_s(self) -> float:
+        return sum(r.busy_s for r in self.rounds)
+
+    @property
+    def served(self) -> int:
+        return sum(r.served for r in self.rounds)
+
     @property
     def requests_per_s(self) -> float:
-        return len(self.requests) / self.wall_s
+        return self.served / self.busy_s
 
     @property
     def requests_per_probe(self) -> float:
-        """Throughput with host contention cancelled (see :class:`HostProbe`)."""
-        return self.requests_per_s * statistics.median(self.probes)
+        """Median over rounds of the throughput times the local probe."""
+        return statistics.median(
+            r.served / r.busy_s * self.local_probes[r.probe] for r in self.rounds
+        )
 
 
 def derived_seeds(seed: int, stream: int, count: int) -> list[int]:
@@ -221,8 +262,10 @@ class StreamWorkload:
             factory = SOURCES.get(spec.source.name)
             clip = factory(spec.n_frames, spec.seed, **dict(spec.source.params))
             # Warm-up: one computed run per clip, memoized so that the hit
-            # requests read the result cache.
+            # requests read the result cache.  Hits are checked on their
+            # ledger, so the cached result keeps no per-frame images.
             result = engine.run(spec, clip=clip)
+            result.outcome.outcomes.clear()
             engine.cache.results.put(engine.result_key_for(spec), result)
             clips.append(clip)
         return engine, clips
@@ -234,7 +277,11 @@ class StreamWorkload:
         return state[0].cache.stats()
 
     def phase(self, state, seconds: float, tracer=None) -> Phase:
-        """Closed loop: per clip, one computed request, then the hits."""
+        """Closed loop: per clip, a probe, one computed request, then one hit.
+
+        One pass over the clips is a round: throughput counts its computed
+        requests over the time spent in their ``Engine.run`` calls.
+        """
         engine, clips = state
         requests, computed = [], []
         count = 0
@@ -251,29 +298,36 @@ class StreamWorkload:
             return result, root.end - root.start
 
         probe = HostProbe()
-        begin = time.perf_counter()
-        deadline = begin + seconds
+        rounds = []
+        deadline = time.perf_counter() + seconds
         while time.perf_counter() < deadline:
+            busy = 0.0
             for index, clip in enumerate(clips):
                 want, want_labels = self.expected[index]
                 probe()
+                at = len(probe.samples) - 1
                 result, latency = call(index, clip)
+                busy += latency
                 ok = result.outcome.frames == want.frames and labels(result) == want_labels
-                requests.append(Request(False, latency, want.n_frames, ok))
+                requests.append(Request(False, latency, want.n_frames, ok, at))
                 # Keep the ledger only: full outcomes hold every frame's images.
                 result.outcome.outcomes.clear()
                 computed.append(result.outcome)
-                for _ in range(HITS_PER_MISS):
-                    result, latency = call(index)
-                    ok = result.outcome.frames == want.frames
-                    requests.append(Request(True, latency, want.n_frames, ok))
-        return Phase(requests, time.perf_counter() - begin, computed, probes=probe.samples)
+                # One read of the same spec from the result cache.  It is
+                # not stream traffic: it exists so that hit_p50_probe is
+                # defined here too, and it counts toward no throughput.
+                result, latency = call(index)
+                ok = result.outcome.frames == want.frames
+                requests.append(Request(True, latency, want.n_frames, ok, at))
+            rounds.append(Round(len(clips), busy, len(probe.samples) - 1 - len(clips) // 2))
+        return Phase(requests, rounds, computed, probe.samples)
 
     def verify(self, phase: Phase) -> None:
         """Outputs were compared as they came (nothing is retained)."""
 
-    def per_frame(self) -> tuple[float, float]:
-        return per_frame([want for want, _ in self.expected])
+    def per_frame(self, phase: Phase) -> tuple[float, float]:
+        """Over the computed requests of the phase (each ledger was checked)."""
+        return per_frame(phase.computed)
 
     def units(self, phase: Phase) -> int:
         return sum(o.n_frames for o in phase.computed)
@@ -329,8 +383,12 @@ class ServeMix:
                 items.append((False, _serve_spec("fresh", index, fresh_seeds[index])))
             self.plan.extend(items[i] for i in order.permutation(size))
         self.next = 0
-        #: plan index -> the reply's RunResult
-        self.replies: dict[int, object] = {}
+        #: hot spec name -> the outcome the daemon served at warm-up; every
+        #: hit reply is compared with it on arrival and then dropped, so
+        #: that retained memory does not grow with throughput.
+        self.hot_outcomes: dict[str, object] = {}
+        #: plan index -> the StreamOutcome of a never-seen spec's reply
+        self.fresh: dict[int, object] = {}
 
     def build(self):
         server = ReproServer(SERVE_SPEC, queue_size=16).start()
@@ -338,8 +396,7 @@ class ServeMix:
         try:
             for k in range(SERVE_CLIENTS):
                 clients.append(_Client(f"c{k}", *server.address, timeout_s=120.0).connect())
-            for spec in self.hot:
-                clients[0].run(spec)
+            self.hot_outcomes = {spec.name: clients[0].run(spec).outcome for spec in self.hot}
         except BaseException:
             self.close((server, clients))
             raise
@@ -355,78 +412,135 @@ class ServeMix:
         return state[0].engine.cache.stats()
 
     def phase(self, state, seconds: float, tracer=None) -> Phase:
+        """Both clients work through one block of the plan at a time.
+
+        Between blocks, once both clients are idle and no request is in
+        flight, one of them times the host probe; the probe therefore
+        never competes with the daemon, and its time is part of no
+        block's time.  Each block is a round.
+        """
         _, clients = state
+        size = SERVE_HOT + SERVE_FRESH_PER_BLOCK
         lock = threading.Lock()
         records: list[tuple[int, Request]] = []
         errors: list[BaseException] = []
+        crashed: list[BaseException] = []
+        rounds: list[Round] = []
         deadline = time.perf_counter() + seconds
         probe = HostProbe()
+        block = {"begin": self.next, "end": self.next, "start": None, "stop": False}
+
+        def between_blocks() -> None:
+            now = time.perf_counter()
+            if block["start"] is not None:
+                served = block["end"] - block["begin"]
+                rounds.append(Round(served, now - block["start"], len(probe.samples) - 1))
+            if now >= deadline or self.next >= len(self.plan):
+                block["stop"] = True
+                return
+            probe()
+            block["begin"], block["end"] = self.next, min(self.next + size, len(self.plan))
+            block["start"] = time.perf_counter()
+
+        barrier = threading.Barrier(len(clients), action=between_blocks)
+
+        def send(client, index: int) -> None:
+            hit, spec = self.plan[index]
+            result = None
+            start = time.perf_counter()
+            try:
+                if tracer is None:
+                    result = client.run(spec)
+                else:
+                    with tracer.root():
+                        result = client.run(spec)
+            except Exception as exc:  # noqa: BLE001 - counted as a failed request
+                errors.append(exc)
+            latency = time.perf_counter() - start
+            request = Request(hit, latency, 0, False, len(probe.samples) - 1)
+            if result is not None:
+                request.frames = result.outcome.n_frames
+                request.ok = result.scenario == spec
+                if hit:
+                    request.ok = request.ok and (
+                        result.outcome.frames == self.hot_outcomes[spec.name].frames
+                    )
+            with lock:
+                if result is not None and not hit:
+                    self.fresh[index] = result.outcome
+                records.append((index, request))
 
         def loop(client) -> None:
-            while True:
-                with lock:
-                    if time.perf_counter() >= deadline or self.next >= len(self.plan):
+            try:
+                while True:
+                    barrier.wait()
+                    if block["stop"]:
                         return
-                    index = self.next
-                    self.next += 1
-                hit, spec = self.plan[index]
-                if not hit:
-                    probe()
-                result = None
-                start = time.perf_counter()
-                try:
-                    if tracer is None:
-                        result = client.run(spec)
-                    else:
-                        with tracer.root():
-                            result = client.run(spec)
-                except Exception as exc:  # noqa: BLE001 - counted as a failed request
-                    errors.append(exc)
-                done = time.perf_counter()
-                with lock:
-                    frames = 0
-                    if result is not None:
-                        self.replies[index] = result
-                        frames = result.outcome.n_frames
-                    records.append((index, Request(hit, done - start, frames, result is not None)))
+                    while True:
+                        with lock:
+                            if self.next >= block["end"]:
+                                break
+                            index = self.next
+                            self.next += 1
+                        send(client, index)
+            except threading.BrokenBarrierError:
+                return
+            except BaseException as exc:
+                crashed.append(exc)
+                barrier.abort()
 
-        begin = time.perf_counter()
         threads = [threading.Thread(target=loop, args=(c,)) for c in clients]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=seconds + 120.0)
-        wall = time.perf_counter() - begin
         if any(thread.is_alive() for thread in threads):
             raise RuntimeError("serve-mix: a client thread did not finish")
+        if crashed:
+            raise RuntimeError("serve-mix: a client thread failed") from crashed[0]
         for exc in errors[:3]:
             print(f"# request failed: {type(exc).__name__}: {exc}")
         records.sort(key=lambda item: item[0])
-        computed = [
-            self.replies[i].outcome for i, r in records if not r.hit and i in self.replies
-        ]
+        computed = [self.fresh[i] for i, r in records if not r.hit and i in self.fresh]
         return Phase(
-            [r for _, r in records], wall, computed,
-            indices=[i for i, _ in records], probes=probe.samples,
+            [r for _, r in records], rounds, computed, probe.samples,
+            indices=[i for i, _ in records],
         )
 
     def verify(self, phase: Phase) -> None:
-        """Compare every reply with a fresh cache-disabled ``Engine.run``."""
+        """Compare every reply's ledger with a fresh cache-disabled ``Engine.run``.
+
+        Hit replies were compared on arrival with the hot spec's warm-up
+        reply, which is checked here.
+        """
         reference = Engine(SystemSpec.from_dict(CLASSIFY_SYSTEM), cache=EngineCache.disabled())
         expected: dict[str, list] = {}
-        for index, request in zip(phase.indices, phase.requests):
-            reply = self.replies.get(index)
-            if reply is None:
-                continue
-            spec = self.plan[index][1]
+
+        def want(spec):
             if spec.name not in expected:
                 expected[spec.name] = reference.run(spec).outcome.frames
-            request.ok = reply.scenario == spec and reply.outcome.frames == expected[spec.name]
+            return expected[spec.name]
 
-    def per_frame(self) -> tuple[float, float]:
-        return per_frame(
-            [self.replies[i].outcome for i in range(SERVE_FIXED_PREFIX) if i in self.replies]
-        )
+        wrong_hot = {
+            spec.name for spec in self.hot if self.hot_outcomes[spec.name].frames != want(spec)
+        }
+        for index, request in zip(phase.indices, phase.requests):
+            hit, spec = self.plan[index]
+            if hit:
+                request.ok = request.ok and spec.name not in wrong_hot
+            elif index in self.fresh:
+                request.ok = request.ok and self.fresh[index].frames == want(spec)
+
+    def per_frame(self, phase: Phase) -> tuple[float, float]:
+        """Over the leading requests of the plan, which every run serves."""
+        outcomes = []
+        for index in range(SERVE_FIXED_PREFIX):
+            hit, spec = self.plan[index]
+            if hit:
+                outcomes.append(self.hot_outcomes[spec.name])
+            elif index in self.fresh:
+                outcomes.append(self.fresh[index])
+        return per_frame(outcomes)
 
     def units(self, phase: Phase) -> int:
         return len(phase.requests)
@@ -442,6 +556,10 @@ def median_setup(workload):
         if state is not None:
             workload.close(state)
             state = None
+            # The last set-up's daemon, clips and caches are gone before
+            # the next begins, so peak memory does not depend on when the
+            # collector would have run.
+            gc.collect()
         start = time.perf_counter()
         state = workload.build()
         times.append(time.perf_counter() - start)
@@ -518,21 +636,23 @@ def end_to_end_metrics(workload, phase: Phase, setup_s: float, notes: list[str])
 
     Host contention moves raw latencies and throughput by up to ~40%
     from one run to the next, even at one seed.  The bounded timings are
-    therefore expressed in units of the host probe's median duration
-    over the same phase (see :class:`HostProbe`), which cancels it.  The
-    raw figures are printed, with their sample counts, for reading.
+    therefore expressed in units of the host probe (see
+    :class:`HostProbe`), each divided by the probes timed around it,
+    which cancels it.  The raw figures are printed, with their sample
+    counts, for reading.
     """
     hits, misses, every = phase.latencies(True), phase.latencies(False), phase.latencies()
     probe = statistics.median(phase.probes)
     p99 = spans.percentile(every, 99)
     beyond = spans.samples_beyond(len(every), 99)
-    frames = statistics.median(r.frames for r in phase.requests if not r.hit)
-    kb, uj = workload.per_frame()
+    frames = sum(o.n_frames for o in phase.computed)
+    kb, uj = workload.per_frame(phase)
     notes += [
         f"probe_ms {probe * 1e3:.4f} ms ({len(phase.probes)} probes)",
-        f"frames_per_s {frames / statistics.median(misses):.4f} frames/s (median computed request)",
+        f"frames_per_s {frames / sum(misses):.4f} frames/s "
+        f"({frames} computed frames in {sum(misses):.2f} s of computed requests)",
         f"requests_per_s {phase.requests_per_s:.4f} req/s "
-        f"({len(every)} requests in {phase.wall_s:.2f} s)",
+        f"({phase.served} requests in {phase.busy_s:.2f} s)",
         f"hit_p50_ms {statistics.median(hits) * 1e3:.4f} ms ({len(hits)} hits)",
         f"miss_p50_ms {statistics.median(misses) * 1e3:.4f} ms ({len(misses)} misses)",
         f"request_p99_ms {p99 * 1e3:.4f} ms = {p99 / probe:.4f} probe "
@@ -541,8 +661,8 @@ def end_to_end_metrics(workload, phase: Phase, setup_s: float, notes: list[str])
         + ")",
     ]
     return {
-        "miss_p50_probe": (statistics.median(misses) / probe, "probe"),
-        "hit_p50_probe": (statistics.median(hits) / probe, "probe"),
+        "miss_p50_probe": (statistics.median(phase.in_probes(hit=False)), "probe"),
+        "hit_p50_probe": (statistics.median(phase.in_probes(hit=True)), "probe"),
         "requests_per_probe": (phase.requests_per_probe, "req/probe"),
         "setup_s": (setup_s, "s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MiB"),
