@@ -46,8 +46,9 @@ def _resize_plan(in_hw: tuple[int, int], out_hw: tuple[int, int]):
     the LRU keeps the footprint bounded — each plan is a few kB.
 
     Returns:
-        ``(y0, y1, x0, x1, fy, fx)`` — row/column source indices already
-        shaped for broadcasting, and the fractional blend weights.
+        ``(y0, y1, fy, x0, x1, fx)`` — row and column source indices, and
+        the blend weights as ``(1 - f, f)`` pairs shaped to broadcast over
+        ``(rows, cols, C)`` (rows) and ``(cols, C)`` (columns).
     """
     h, w = in_hw
     oh, ow = out_hw
@@ -60,14 +61,9 @@ def _resize_plan(in_hw: tuple[int, int], out_hw: tuple[int, int]):
     x0 = np.floor(xs).astype(int)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    plan = (
-        y0[:, None],
-        y1[:, None],
-        x0[None, :],
-        x1[None, :],
-        (ys - y0)[:, None, None],
-        (xs - x0)[None, :, None],
-    )
+    fy = (ys - y0)[:, None, None]
+    fx = (xs - x0)[:, None]
+    plan = (y0, y1, np.stack([1 - fy, fy]), x0, x1, np.stack([1 - fx, fx]))
     for table in plan:
         table.setflags(write=False)
     return plan
@@ -79,7 +75,11 @@ def resize_bilinear(image: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     Interpolation index/weight tables are memoized per ``(in_hw, out_hw)``
     shape pair (:func:`_resize_plan`), which is free on correctness: the
     plan depends only on the shapes, so outputs are bit-identical to an
-    uncached resize.
+    uncached resize.  The blend is separable: every source row is blended
+    across columns first (``np.take``), then the output rows blend those
+    rows.  Each output pixel gets the same products and sums as the
+    four-corner gather, ``(p00 * (1 - fx) + p01 * fx) * (1 - fy) + (p10 *
+    (1 - fx) + p11 * fx) * fy``, so the result is bit-identical to it.
 
     Args:
         image: ``(H, W)`` or ``(H, W, C)`` float array.
@@ -98,10 +98,9 @@ def resize_bilinear(image: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
         out = img.copy()
         return out[:, :, 0] if squeeze else out
 
-    y0, y1, x0, x1, fy, fx = _resize_plan((h, w), (int(oh), int(ow)))
-    top = img[y0, x0] * (1 - fx) + img[y0, x1] * fx
-    bottom = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
-    out = top * (1 - fy) + bottom * fy
+    y0, y1, fy, x0, x1, fx = _resize_plan((h, w), (int(oh), int(ow)))
+    cols = np.take(img, x0, axis=1) * fx[0] + np.take(img, x1, axis=1) * fx[1]
+    out = np.take(cols, y0, axis=0) * fy[0] + np.take(cols, y1, axis=0) * fy[1]
     return out[:, :, 0] if squeeze else out
 
 

@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .layers import Layer, Param, as_compute_dtype
+from .layers import BatchNorm, Conv2D, Layer, Param, as_compute_dtype
 
 
 class Sequential(Layer):
     """A chain of layers executed in order.
+
+    At inference (``training=False``) each :class:`BatchNorm` that directly
+    follows a :class:`Conv2D` is folded into that conv
+    (:meth:`Conv2D.fold_batchnorm`), which saves a full pass over the
+    feature map.  The fold is rebuilt from the current parameters and
+    running statistics on every forward (microseconds per pair), so it can
+    never go stale after training, :meth:`set_compute_dtype` or
+    :meth:`load_state_dict`.  Folding moves float64 logits by a few ulps
+    against running the layers one by one; the folded forward is the
+    reference every batched/windowed/executor identity is asserted against.
 
     >>> import numpy as np
     >>> from repro.ml.layers import Dense, ReLU
@@ -23,9 +33,19 @@ class Sequential(Layer):
         self.layers = list(layers)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        for layer in self.layers:
+        for layer in self.layers if training else self._inference_layers():
             x = layer.forward(x, training)
         return x
+
+    def _inference_layers(self) -> list[Layer]:
+        """The chain an inference forward runs: conv+BN pairs folded."""
+        chain: list[Layer] = []
+        for layer in self.layers:
+            if isinstance(layer, BatchNorm) and chain and isinstance(chain[-1], Conv2D):
+                chain[-1] = chain[-1].fold_batchnorm(layer)
+            else:
+                chain.append(layer)
+        return chain
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):
@@ -56,27 +76,29 @@ class Sequential(Layer):
 
     # -- (de)serialization ---------------------------------------------------------
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Parameter snapshot keyed by position and name."""
-        state: dict[str, np.ndarray] = {}
+    def _live_arrays(self):
+        """``(key, array)`` for every parameter and buffer, keyed by layer
+        position and name."""
         for i, layer in enumerate(self.layers):
             for j, param in enumerate(layer.params()):
-                state[f"{i}.{j}.{param.name}"] = param.value.copy()
-        return state
+                yield f"{i}.{j}.{param.name}", param.value
+            for name in layer.buffers:
+                yield f"{i}.{name}", getattr(layer, name)
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Snapshot of every parameter and buffer (BN running statistics)."""
+        return {key: value.copy() for key, value in self._live_arrays()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore a snapshot produced by :meth:`state_dict`."""
-        for i, layer in enumerate(self.layers):
-            for j, param in enumerate(layer.params()):
-                key = f"{i}.{j}.{param.name}"
-                if key not in state:
-                    raise KeyError(f"missing parameter {key} in state dict")
-                if state[key].shape != param.value.shape:
-                    raise ValueError(
-                        f"shape mismatch for {key}: "
-                        f"{state[key].shape} vs {param.value.shape}"
-                    )
-                param.value[...] = state[key]
+        for key, value in self._live_arrays():
+            if key not in state:
+                raise KeyError(f"missing {key} in state dict")
+            if state[key].shape != value.shape:
+                raise ValueError(
+                    f"shape mismatch for {key}: {state[key].shape} vs {value.shape}"
+                )
+            value[...] = state[key]
 
     def n_parameters(self) -> int:
         return int(sum(p.value.size for p in self.params()))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import Sequential, fit_classifier, predict_classifier
+from repro.ml import Sequential, fit_classifier, predict_classifier, tiny_cnn
 from repro.ml.layers import Dense, ReLU
 from repro.ml.losses import (
     binary_cross_entropy_with_logits,
@@ -39,6 +39,24 @@ class TestSequential:
         assert not np.allclose(net(x), before)
         net.load_state_dict(state)
         assert np.allclose(net(x), before)
+
+    def test_state_dict_carries_batchnorm_running_stats(self, rng):
+        # A Dense-only net has no running statistics; a conv+BN net
+        # restored without them would infer with mean 0 / variance 1.
+        trained = tiny_cnn(16, 3, seed=0)
+        for _ in range(3):
+            trained.forward(rng.random((4, 16, 16, 3)) * 3.0 + 1.0, training=True)
+        restored = tiny_cnn(16, 3, seed=1)
+        restored.load_state_dict(trained.state_dict())
+        x = rng.random((2, 16, 16, 3))
+        assert np.array_equal(restored.predict_batch(x), trained.predict_batch(x))
+
+    def test_load_rejects_missing_running_stats(self):
+        net = tiny_cnn(16, 3)
+        state = net.state_dict()
+        del state["1.running_var"]
+        with pytest.raises(KeyError, match="1.running_var"):
+            net.load_state_dict(state)
 
     def test_load_rejects_shape_mismatch(self, rng):
         net = tiny_net(rng)
