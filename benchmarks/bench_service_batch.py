@@ -70,7 +70,7 @@ def workload() -> list[ScenarioSpec]:
         common = dict(source=ref, n_frames=N_FRAMES, seed=seed)
         scenarios += [
             ScenarioSpec(name=f"{source}/per-frame", **common),
-            ScenarioSpec(name=f"{source}/batched", batch_size=8, **common),
+            ScenarioSpec(name=f"{source}/batched", window=8, **common),
             ScenarioSpec(
                 name=f"{source}/reuse",
                 policy=ComponentRef("temporal-reuse", {"max_reuse": 3}),

@@ -32,6 +32,8 @@ and Selective ROI.  The package provides:
   content-addressed :class:`ArtifactStore` backing the engine cache's
   disk tier (warm restarts), plus shared-memory clip transport for the
   process executor.
+* :mod:`repro.codec` — the standard-library plain-data codec behind every
+  spec, sweep, fault plan, ledger row and wire frame.
 * :mod:`repro.faults` — deterministic, seeded fault injection
   (:class:`FaultPlan`/:class:`FaultInjector`) driving the self-healing
   executor, the retrying client, and the resilience benchmark.

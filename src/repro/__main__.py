@@ -128,7 +128,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_request(args: argparse.Namespace) -> int:
     import json
 
-    from .server import ServerClient, ServerError
+    from .server import ProtocolError, ServerClient, ServerError
     from .service import ScenarioSpec, SpecError
 
     probes = sum(bool(flag) for flag in (args.ping, args.stats, args.shutdown))
@@ -220,6 +220,12 @@ def _cmd_request(args: argparse.Namespace) -> int:
                 )
             else:
                 result = client.run(scenario, timeout_s=args.timeout)
+    except ProtocolError as exc:
+        # Raised client-side: the request is invalid before it is sent (a
+        # keep_outcomes scenario, an out-of-range --timeout) or a reply
+        # frame is malformed.
+        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        return 2
     except ServerError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+
+from ..codec import serializable
 
 
+@serializable("HiRISEConfig")
 @dataclass(frozen=True)
 class HiRISEConfig:
     """Knobs of the end-to-end HiRISE system.
@@ -45,27 +48,6 @@ class HiRISEConfig:
             raise ValueError("min_roi_px must be >= 1")
         if self.max_rois is not None and self.max_rois < 1:
             raise ValueError("max_rois must be >= 1 when set")
-
-    def to_dict(self) -> dict:
-        """Plain-data form of the config (JSON-safe; see :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HiRISEConfig":
-        """Rebuild a config from :meth:`to_dict` output.
-
-        Raises:
-            ValueError: on unknown fields (named, with the valid set) or on
-                values the constructor rejects.
-        """
-        valid = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - valid)
-        if unknown:
-            raise ValueError(
-                f"HiRISEConfig: unknown field(s) {unknown}; "
-                f"valid fields: {sorted(valid)}"
-            )
-        return cls(**data)
 
     @classmethod
     def for_stage1_resolution(

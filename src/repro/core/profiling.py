@@ -29,7 +29,10 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from ..codec import serializable
 
+
+@serializable("phase")
 @dataclass(frozen=True)
 class PhaseStats:
     """Accumulated wall-clock for one phase path.
@@ -49,24 +52,18 @@ class PhaseStats:
         """Nesting depth (0 for a top-level phase)."""
         return self.path.count(".")
 
-    def to_dict(self) -> dict:
-        return {"path": self.path, "calls": self.calls, "total_s": self.total_s}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhaseStats":
-        """Rebuild a row from its :meth:`to_dict` form (exact round-trip)."""
-        return cls(
-            path=data["path"], calls=data["calls"], total_s=data["total_s"]
-        )
-
-
+@serializable("profile", derived={"total_s": float})
 @dataclass(frozen=True)
 class PhaseProfile:
     """A frozen snapshot of a profiler: one row per phase path.
 
     Rows are in hierarchical order: parents before their children,
     siblings in first-recorded order — for the pipelines, dataflow order
-    (expose -> stage1 -> detect -> ...).
+    (expose -> stage1 -> detect -> ...).  The plain-data form (what
+    ``BENCH_hotpath.json`` embeds) leads with the derived ``total_s``,
+    which is re-checked against the rows on read to catch hand-edited
+    payloads.
     """
 
     phases: tuple[PhaseStats, ...] = ()
@@ -88,30 +85,6 @@ class PhaseProfile:
     def total_s(self) -> float:
         """Summed top-level wall-clock (nested rows are already inside)."""
         return sum(p.total_s for p in self.phases if p.depth == 0)
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (what ``BENCH_hotpath.json`` embeds)."""
-        return {
-            "total_s": self.total_s,
-            "phases": [p.to_dict() for p in self.phases],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhaseProfile":
-        """Rebuild a profile from its :meth:`to_dict` form.
-
-        ``total_s`` is derived (a property), so only ``phases`` is read;
-        the derived value is re-checked to catch hand-edited payloads.
-        """
-        profile = cls(
-            tuple(PhaseStats.from_dict(row) for row in data.get("phases", ()))
-        )
-        if "total_s" in data and abs(profile.total_s - data["total_s"]) > 1e-9:
-            raise ValueError(
-                f"total_s {data['total_s']!r} does not match the phase rows "
-                f"(derived {profile.total_s!r})"
-            )
-        return profile
 
     @classmethod
     def merge(cls, profiles: Iterable["PhaseProfile"]) -> "PhaseProfile":

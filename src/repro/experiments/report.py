@@ -36,6 +36,7 @@ from statistics import median
 
 from ..bench.figures import ascii_bar_chart
 from ..bench.tables import Table
+from ..codec import serializable
 from .runner import CellRecord, SweepResult
 from .sweep import REPORT_KEYS
 
@@ -45,6 +46,7 @@ GRAYSCALE_PATH = "system.config.grayscale_stage1"
 DTYPE_PATH = "system.compute_dtype"
 
 
+@serializable("trend")
 @dataclass(frozen=True)
 class TrendCheck:
     """One qualitative paper claim, verified against the sweep.
@@ -58,16 +60,6 @@ class TrendCheck:
     name: str
     passed: bool
     detail: str
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrendCheck":
-        """Rebuild a check from a report payload (exact round-trip)."""
-        return cls(
-            name=data["name"], passed=data["passed"], detail=data["detail"]
-        )
 
 
 @dataclass(frozen=True)

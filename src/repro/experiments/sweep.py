@@ -17,10 +17,10 @@ point.  :class:`SweepSpec` declares the whole grid as plain data:
   reduction factors.
 
 Like every spec in :mod:`repro.service`, a sweep round-trips exactly
-(``from_dict(to_dict(s)) == s``) and every validation error names the
-offending field.  :meth:`SweepSpec.cells` expands the grid eagerly into
-fully-validated :class:`SweepCell`\\ s, so a broken axis value surfaces as
-one named error, never mid-run.
+through the codec (``from_dict(to_dict(s)) == s``) and every validation
+error names the offending field path.  :meth:`SweepSpec.cells` expands
+the grid eagerly into fully-validated :class:`SweepCell`\\ s, so a broken
+axis value surfaces as one named error, never mid-run.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
+from ..codec import serializable
 from ..service.executor import EXECUTOR_NAMES
-from ..service.spec import ScenarioSpec, SpecError, SystemSpec, _require
+from ..service.spec import ScenarioSpec, SpecError, SystemSpec
 
 #: Paper-report keys a sweep may declare via ``SweepSpec.report`` ("" =
 #: generic report).  ``repro.experiments.report`` registers one builder per
@@ -59,6 +61,7 @@ def _json_copy(value):
     return json.loads(json.dumps(value)) if isinstance(value, (dict, list)) else value
 
 
+@serializable("axis", SpecError)
 @dataclass(frozen=True)
 class SweepAxis:
     """One swept dimension: an override path and the values it takes.
@@ -74,7 +77,7 @@ class SweepAxis:
     """
 
     path: str
-    values: tuple = ()
+    values: tuple[Any, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.path, str) or "." not in self.path:
@@ -104,26 +107,6 @@ class SweepAxis:
     def label(self) -> str:
         """Short axis name for cell labels: the last path segment."""
         return self.path.rsplit(".", 1)[-1]
-
-    def to_dict(self) -> dict:
-        return {"path": self.path, "values": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, data, fieldname: str = "axis") -> "SweepAxis":
-        _require(data, fieldname, dict, "dict")
-        unknown = sorted(set(data) - {"path", "values"})
-        if unknown:
-            raise SpecError(
-                f"{fieldname}: unknown field(s) {unknown}; "
-                f"known fields: ['path', 'values']"
-            )
-        if "path" not in data:
-            raise SpecError(f"{fieldname}.path: required field is missing")
-        path = _require(data["path"], f"{fieldname}.path", str, "str")
-        values = _require(
-            data.get("values", []), f"{fieldname}.values", list, "a list"
-        )
-        return cls(path, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -180,6 +163,7 @@ def _apply_override(data: dict, path: str, value) -> None:
     node[segments[-1]] = _json_copy(value)
 
 
+@serializable("sweep", SpecError)
 @dataclass(frozen=True)
 class SweepSpec:
     """A declarative experiment sweep: base specs, axes, replicates.
@@ -193,7 +177,7 @@ class SweepSpec:
         baseline: optional reference system (e.g. ``"conventional"``) run
             once per distinct clip; enables the per-cell reduction
             factors the paper reports.  Baseline runs always use policy
-            ``"none"``, ``batch_size=1``, and no kept outcomes — the
+            ``"none"``, ``window=1``, and no kept outcomes — the
             full-frame per-frame reference.
         replicates: runs per grid cell; replicate ``r`` offsets the
             scenario seed by ``r`` (after axis overrides).
@@ -337,73 +321,9 @@ class SweepSpec:
             scenario,
             name="",
             policy=type(scenario.policy)("none"),
-            batch_size=1,
             keep_outcomes=False,
             window=1,
         )
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "system": self.system.to_dict(),
-            "scenario": self.scenario.to_dict(),
-            "axes": [axis.to_dict() for axis in self.axes],
-            "baseline": None if self.baseline is None else self.baseline.to_dict(),
-            "replicates": self.replicates,
-            "executor": self.executor,
-            "workers": self.workers,
-            "report": self.report,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        _require(data, "sweep", dict, "dict")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise SpecError(
-                f"sweep: unknown field(s) {unknown}; known fields: {sorted(known)}"
-            )
-        kwargs = {}
-        if "name" in data:
-            kwargs["name"] = _require(data["name"], "sweep.name", str, "str")
-        if "system" in data:
-            kwargs["system"] = SystemSpec.from_dict(
-                _require(data["system"], "sweep.system", dict, "dict")
-            )
-        if "scenario" in data:
-            kwargs["scenario"] = ScenarioSpec.from_dict(
-                _require(data["scenario"], "sweep.scenario", dict, "dict")
-            )
-        if "axes" in data:
-            axes = _require(data["axes"], "sweep.axes", list, "a list of axis dicts")
-            kwargs["axes"] = tuple(
-                SweepAxis.from_dict(a, f"sweep.axes[{i}]") for i, a in enumerate(axes)
-            )
-        if data.get("baseline") is not None:
-            kwargs["baseline"] = SystemSpec.from_dict(
-                _require(data["baseline"], "sweep.baseline", dict, "dict")
-            )
-        for intfield in ("replicates", "workers"):
-            if intfield in data:
-                kwargs[intfield] = _require(
-                    data[intfield], f"sweep.{intfield}", int, "int"
-                )
-        for strfield in ("executor", "report"):
-            if strfield in data:
-                kwargs[strfield] = _require(
-                    data[strfield], f"sweep.{strfield}", str, "str"
-                )
-        return cls(**kwargs)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        return cls.from_dict(json.loads(text))
 
     # -- tiny mode ---------------------------------------------------------------
 

@@ -61,10 +61,6 @@ class FaultInjector:
         self._sites: dict[str, SiteSchedule] = {}
         self._counts: dict[str, int] = {}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultInjector":
-        return cls(FaultPlan.from_dict(data))
-
     def fire(self, site: str) -> FaultSpec | None:
         """Advance ``site`` by one hit; the fired spec, or ``None``.
 

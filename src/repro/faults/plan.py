@@ -1,7 +1,7 @@
 """Fault plans: seeded, deterministic schedules of injected failures.
 
-A :class:`FaultPlan` is a spec in exactly the PR-2 sense — a frozen
-dataclass with an exact ``to_dict``/``from_dict`` round-trip — that says
+A :class:`FaultPlan` is a spec in exactly the :mod:`repro.service` sense
+— a frozen dataclass with an exact codec round-trip — that says
 *which* failures fire *where* and *when*.  Determinism is the whole
 point: resilience can only be gated in CI if the same plan produces the
 same crashes on every run, so nothing here may consult wall clocks or
@@ -29,9 +29,9 @@ Vocabulary:
   processes** — this is what lets a worker-crash plan kill exactly one
   worker and let the respawned pool finish the batch.
 
-This module is a leaf: it imports only the standard library, so every
-subsystem (store, shm, executor, daemon) can depend on it without
-cycles.
+This module is a leaf: it imports only the standard library and the
+standard-library codec (:mod:`repro.codec`), so every subsystem (store,
+shm, executor, daemon) can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
+
+from ..codec import serializable
 
 #: Named failure modes a plan may schedule, in documentation order.
 FAULT_KINDS = (
@@ -69,23 +71,11 @@ class FaultPlanError(ValueError):
     """A fault plan failed validation; the message names the field."""
 
 
-def _require(value, fieldname: str, types, label: str):
-    if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-        raise FaultPlanError(
-            f"{fieldname}: expected {label}, got {type(value).__name__} "
-            f"({value!r})"
-        )
-    return value
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _reject_unknown(data: dict, known: set, fieldname: str) -> None:
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise FaultPlanError(
-            f"{fieldname}: unknown key(s) {unknown}; known keys: {sorted(known)}"
-        )
-
-
+@serializable("fault", FaultPlanError)
 @dataclass(frozen=True)
 class FaultSpec:
     """One scheduled fault: a kind bound to a site and a firing rule.
@@ -106,7 +96,7 @@ class FaultSpec:
 
     site: str
     kind: str
-    at: tuple = ()
+    at: tuple[int, ...] = ()
     rate: float = 0.0
     limit: int | None = None
     delay_s: float = 0.0
@@ -128,79 +118,32 @@ class FaultSpec:
                 f"fault.scope: unknown scope {self.scope!r}; "
                 f"known scopes: {list(FAULT_SCOPES)}"
             )
+        # Python callers may pass a list of hits or an int rate or delay;
+        # the stored form is the decoded one, so fingerprints agree.
         object.__setattr__(self, "at", tuple(self.at))
+        for name in ("rate", "delay_s"):
+            if _is_int(getattr(self, name)):
+                object.__setattr__(self, name, float(getattr(self, name)))
         for index in self.at:
-            if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+            if not _is_int(index) or index < 0:
                 raise FaultPlanError(
                     f"fault.at: hit indices must be ints >= 0, got {index!r}"
                 )
-        rate = self.rate
-        if isinstance(rate, int) and not isinstance(rate, bool):
-            rate = float(rate)
-            object.__setattr__(self, "rate", rate)
-        if not isinstance(rate, float) or not 0.0 <= rate <= 1.0:
+        if not isinstance(self.rate, float) or not 0.0 <= self.rate <= 1.0:
             raise FaultPlanError(
                 f"fault.rate: expected a float in [0, 1], got {self.rate!r}"
             )
-        if self.limit is not None and (
-            not isinstance(self.limit, int)
-            or isinstance(self.limit, bool)
-            or self.limit < 0
-        ):
+        if self.limit is not None and (not _is_int(self.limit) or self.limit < 0):
             raise FaultPlanError(
                 f"fault.limit: expected an int >= 0 or null, got {self.limit!r}"
             )
-        delay = self.delay_s
-        if isinstance(delay, int) and not isinstance(delay, bool):
-            delay = float(delay)
-            object.__setattr__(self, "delay_s", delay)
-        if not isinstance(delay, float) or delay < 0.0:
+        if not isinstance(self.delay_s, float) or self.delay_s < 0.0:
             raise FaultPlanError(
                 f"fault.delay_s: expected a float >= 0, got {self.delay_s!r}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "site": self.site,
-            "kind": self.kind,
-            "at": list(self.at),
-            "rate": self.rate,
-            "limit": self.limit,
-            "delay_s": self.delay_s,
-            "scope": self.scope,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        _require(data, "fault", dict, "a dict")
-        _reject_unknown(
-            data,
-            {"site", "kind", "at", "rate", "limit", "delay_s", "scope"},
-            "fault",
-        )
-        for fieldname in ("site", "kind"):
-            if fieldname not in data:
-                raise FaultPlanError(
-                    f"fault.{fieldname}: required field is missing"
-                )
-        at = data.get("at", ())
-        if not isinstance(at, (list, tuple)):
-            raise FaultPlanError(
-                f"fault.at: expected a list of hit indices, got {at!r}"
-            )
-        return cls(
-            site=_require(data["site"], "fault.site", str, "str"),
-            kind=_require(data["kind"], "fault.kind", str, "str"),
-            at=tuple(at),
-            rate=data.get("rate", 0.0),
-            limit=data.get("limit"),
-            delay_s=data.get("delay_s", 0.0),
-            scope=_require(
-                data.get("scope", "process"), "fault.scope", str, "str"
-            ),
-        )
-
-
+@serializable("plan", FaultPlanError)
 @dataclass(frozen=True)
 class FaultPlan:
     """A named, seeded collection of :class:`FaultSpec` entries.
@@ -222,14 +165,17 @@ class FaultPlan:
 
     name: str = "chaos"
     seed: int = 0
-    faults: tuple = ()
+    faults: tuple[FaultSpec, ...] = ()
     fuse_dir: str | None = None
 
     def __post_init__(self):
-        _require(self.name, "plan.name", str, "str")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not isinstance(self.name, str):
+            raise FaultPlanError(f"plan.name: expected str, got {self.name!r}")
+        if not _is_int(self.seed):
+            raise FaultPlanError(f"plan.seed: expected int, got {self.seed!r}")
+        if self.fuse_dir is not None and not isinstance(self.fuse_dir, str):
             raise FaultPlanError(
-                f"plan.seed: expected an int, got {self.seed!r}"
+                f"plan.fuse_dir: expected str, got {self.fuse_dir!r}"
             )
         faults = tuple(self.faults)
         object.__setattr__(self, "faults", faults)
@@ -238,40 +184,11 @@ class FaultPlan:
                 raise FaultPlanError(
                     f"plan.faults: expected FaultSpec entries, got {fault!r}"
                 )
-        if self.fuse_dir is not None:
-            _require(self.fuse_dir, "plan.fuse_dir", str, "str")
         if self.fuse_dir is None and any(f.scope == "global" for f in faults):
             raise FaultPlanError(
                 "plan.fuse_dir: required when any fault has scope \"global\" "
                 "(the cross-process fuse needs an explicit directory)"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "faults": [fault.to_dict() for fault in self.faults],
-            "fuse_dir": self.fuse_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        _require(data, "plan", dict, "a dict")
-        _reject_unknown(data, {"name", "seed", "faults", "fuse_dir"}, "plan")
-        faults = data.get("faults", ())
-        if not isinstance(faults, (list, tuple)):
-            raise FaultPlanError(
-                f"plan.faults: expected a list, got {faults!r}"
-            )
-        return cls(
-            name=data.get("name", "chaos"),
-            seed=data.get("seed", 0),
-            faults=tuple(
-                fault if isinstance(fault, FaultSpec) else FaultSpec.from_dict(fault)
-                for fault in faults
-            ),
-            fuse_dir=data.get("fuse_dir"),
-        )
 
     def fingerprint(self) -> str:
         """SHA-256 of the canonical JSON form — the plan's identity."""

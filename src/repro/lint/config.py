@@ -54,6 +54,7 @@ class LintConfig:
     """
 
     payload_modules: tuple[str, ...] = (
+        "*/repro/codec.py",
         "*/repro/core/config.py",
         "*/repro/core/report.py",
         "*/repro/stream/ledger.py",

@@ -13,10 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from ..codec import serializable
+
 #: Schema version stamped into JSON reports.
 REPORT_VERSION = 1
 
 
+@serializable("finding")
 @dataclass(frozen=True)
 class Finding:
     """One invariant violation at a specific source location.
@@ -40,29 +43,6 @@ class Finding:
     def sort_key(self) -> tuple:
         """Deterministic report order: path, then line, col, rule, text."""
         return (self.path, self.line, self.col, self.rule_id, self.message)
-
-    def to_dict(self) -> dict:
-        """Plain-data form for the JSON report (keys always present)."""
-        return {
-            "rule_id": self.rule_id,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "hint": self.hint,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        """Rebuild a finding from its JSON form (exact round-trip)."""
-        return cls(
-            rule_id=data["rule_id"],
-            path=data["path"],
-            line=data["line"],
-            col=data["col"],
-            message=data["message"],
-            hint=data.get("hint", ""),
-        )
 
     def format(self) -> str:
         """One console line: ``path:line:col: [rule] message (fix: hint)``."""

@@ -23,7 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codec import serializable
 
+
+@serializable("noise")
 @dataclass(frozen=True)
 class NoiseModel:
     """Noise parameters, all expressed relative to the pixel full scale.

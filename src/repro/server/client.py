@@ -280,9 +280,14 @@ class ServerClient:
             BackpressureError: the daemon's request queue is full (after
                 ``max_retries`` backed-off re-attempts, if configured).
             RequestTimeoutError: the deadline fired.
-            BadRequestError: the spec or frame was rejected.
+            BadRequestError: the daemon rejected the spec or frame.
             ServerShuttingDownError: the daemon is draining.
             ServerError: any other server-side failure.
+            ProtocolError: the request is invalid before it is sent (a
+                ``keep_outcomes`` scenario, ``bad-request``, or a
+                ``timeout_s`` out of range, ``bad-frame``), or a reply
+                frame is malformed.
+            SpecError: ``scenario`` is a dict that is not a valid spec.
         """
         spec = self._as_scenario(scenario)
 
@@ -314,6 +319,9 @@ class ServerClient:
         With ``max_retries > 0``, a connection dropped mid-stream
         replays the request from frame 0 — the stream is deterministic,
         but ``on_stats`` will see the already-delivered prefix again.
+
+        Raises:
+            The same errors as :meth:`run`.
         """
         spec = self._as_scenario(scenario)
 

@@ -2,10 +2,11 @@
 
 One TCP connection carries any number of requests (keep-alive); every
 message — request, response, streamed ledger row, or error — is a single
-line of JSON, a *frame*, with a ``"type"`` discriminator.  Frames follow
-the spec conventions of :mod:`repro.service.spec`: frozen dataclasses,
+line of JSON, a *frame*, with a ``"type"`` discriminator.  Every frame
+class registers into :data:`FRAMES`, a :class:`repro.codec.Tagged`
+registry, so frames follow the codec's conventions: frozen dataclasses,
 **exact** ``to_dict``/``from_dict``/JSON round-trips, and validation
-errors that name the offending field (``run.timeout_s: ...``).
+errors that name the offending field path (``run.timeout_s: ...``).
 
 Client -> server frames:
 
@@ -40,10 +41,12 @@ too-long line to the next newline so the stream stays in sync.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 
-from ..service.spec import ScenarioSpec, SpecError
-from ..stream.ledger import FrameStats
+from ..codec import Tagged, hook
+from ..service.spec import ScenarioSpec
+from ..stream.ledger import FrameStats, StreamOutcome
 
 #: Hard per-line ceiling.  Generous: a 10k-frame ledger response is ~2 MB.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
@@ -84,36 +87,21 @@ class TruncatedFrameError(ProtocolError):
     """
 
 
-def _require(value: object, fieldname: str, kind: type, type_name: str):
-    if kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise ProtocolError(f"{fieldname}: expected {type_name}, got {value!r}")
-    return value
+class _BadRequest(ProtocolError):
+    """A well-formed frame whose scenario spec is invalid."""
+
+    def __init__(self, message: str):
+        super().__init__(message, code="bad-request")
 
 
-def _reject_unknown(data: dict, known: set[str], fieldname: str) -> None:
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ProtocolError(
-            f"{fieldname}: unknown field(s) {unknown}; "
-            f"known fields: {sorted(known)}"
-        )
-
-
-def _require_id(data: dict, fieldname: str) -> str:
-    if "id" not in data:
-        raise ProtocolError(f"{fieldname}.id: required field is missing")
-    return _require(data["id"], f"{fieldname}.id", str, "str")
+#: The ``"type"``-discriminated frame registry behind :func:`parse_frame`.
+FRAMES = Tagged("frame", ProtocolError)
 
 
 # -- client -> server request frames ------------------------------------------
 
 
+@FRAMES.register("run")
 @dataclass(frozen=True)
 class RunRequest:
     """Serve one scenario against the daemon's system.
@@ -124,90 +112,47 @@ class RunRequest:
             per-frame outcomes hold live images and never cross the wire).
         stream: per-frame streaming (:class:`FrameChunk` rows then a
             :class:`StreamEnd`) instead of one :class:`ResultResponse`.
-        timeout_s: per-request deadline; ``None`` uses the daemon's
-            default.  On expiry the daemon answers a ``"timeout"`` error
-            and abandons the request.
+        timeout_s: per-request deadline in (0, ``threading.TIMEOUT_MAX``];
+            ``None`` uses the daemon's default.  On expiry the daemon
+            answers a ``"timeout"`` error and abandons the request.
     """
 
     id: str
-    scenario: ScenarioSpec
+    scenario: ScenarioSpec = field(metadata=hook(error=_BadRequest))
     stream: bool = False
     timeout_s: float | None = None
 
-    type = "run"
-
-    def to_dict(self) -> dict:
-        return {
-            "type": self.type,
-            "id": self.id,
-            "scenario": self.scenario.to_dict(),
-            "stream": self.stream,
-            "timeout_s": self.timeout_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunRequest":
-        _reject_unknown(data, {"type", "id", "scenario", "stream", "timeout_s"}, "run")
-        request_id = _require_id(data, "run")
-        if "scenario" not in data:
-            raise ProtocolError("run.scenario: required field is missing")
-        try:
-            scenario = ScenarioSpec.from_dict(data["scenario"])
-        except SpecError as exc:
-            raise ProtocolError(f"run.scenario: {exc}", code="bad-request") from None
-        if scenario.keep_outcomes:
-            raise ProtocolError(
+    def __post_init__(self) -> None:
+        if self.scenario.keep_outcomes:
+            raise _BadRequest(
                 "run.scenario.keep_outcomes: full per-frame outcomes are not "
-                "serializable; the per-frame ledger is what streams",
-                code="bad-request",
+                "serializable; the per-frame ledger is what streams"
             )
-        stream = _require(data.get("stream", False), "run.stream", bool, "bool")
-        timeout_s = data.get("timeout_s")
-        if timeout_s is not None:
-            timeout_s = float(
-                _require(timeout_s, "run.timeout_s", float, "a number or null")
+        timeout_s = self.timeout_s
+        if timeout_s is not None and not 0 < timeout_s <= threading.TIMEOUT_MAX:
+            raise ProtocolError(
+                f"run.timeout_s: must be > 0 and <= {threading.TIMEOUT_MAX}, "
+                f"got {self.timeout_s}"
             )
-            if timeout_s <= 0:
-                raise ProtocolError(
-                    f"run.timeout_s: must be > 0, got {timeout_s}"
-                )
-        return cls(id=request_id, scenario=scenario, stream=stream, timeout_s=timeout_s)
 
 
+@FRAMES.register("ping")
 @dataclass(frozen=True)
 class PingRequest:
     """Liveness probe; answered with :class:`PongResponse`."""
 
     id: str
 
-    type = "ping"
 
-    def to_dict(self) -> dict:
-        return {"type": self.type, "id": self.id}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PingRequest":
-        _reject_unknown(data, {"type", "id"}, "ping")
-        return cls(id=_require_id(data, "ping"))
-
-
+@FRAMES.register("stats")
 @dataclass(frozen=True)
 class StatsRequest:
     """Observability probe; answered with :class:`StatsResponse`."""
 
     id: str
 
-    type = "stats"
 
-    def to_dict(self) -> dict:
-        return {"type": self.type, "id": self.id}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StatsRequest":
-        _reject_unknown(data, {"type", "id"}, "stats")
-        return cls(id=_require_id(data, "stats"))
-
-
+@FRAMES.register("shutdown")
 @dataclass(frozen=True)
 class ShutdownRequest:
     """Stop the daemon.
@@ -220,22 +165,11 @@ class ShutdownRequest:
     id: str
     drain: bool = True
 
-    type = "shutdown"
-
-    def to_dict(self) -> dict:
-        return {"type": self.type, "id": self.id, "drain": self.drain}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShutdownRequest":
-        _reject_unknown(data, {"type", "id", "drain"}, "shutdown")
-        request_id = _require_id(data, "shutdown")
-        drain = _require(data.get("drain", True), "shutdown.drain", bool, "bool")
-        return cls(id=request_id, drain=drain)
-
 
 # -- server -> client response frames -----------------------------------------
 
 
+@FRAMES.register("result")
 @dataclass(frozen=True)
 class ResultResponse:
     """One served request's whole ledger.
@@ -250,38 +184,10 @@ class ResultResponse:
 
     id: str
     scenario: ScenarioSpec
-    outcome: "object"  # StreamOutcome; typed loosely to keep imports light
-
-    type = "result"
-
-    def to_dict(self) -> dict:
-        return {
-            "type": self.type,
-            "id": self.id,
-            "scenario": self.scenario.to_dict(),
-            "outcome": self.outcome.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResultResponse":
-        from ..stream.ledger import StreamOutcome
-
-        _reject_unknown(data, {"type", "id", "scenario", "outcome"}, "result")
-        request_id = _require_id(data, "result")
-        for fieldname in ("scenario", "outcome"):
-            if fieldname not in data:
-                raise ProtocolError(f"result.{fieldname}: required field is missing")
-        try:
-            scenario = ScenarioSpec.from_dict(data["scenario"])
-        except SpecError as exc:
-            raise ProtocolError(f"result.scenario: {exc}") from None
-        try:
-            outcome = StreamOutcome.from_dict(data["outcome"])
-        except ValueError as exc:
-            raise ProtocolError(f"result.outcome: {exc}") from None
-        return cls(id=request_id, scenario=scenario, outcome=outcome)
+    outcome: StreamOutcome
 
 
+@FRAMES.register("frame")
 @dataclass(frozen=True)
 class FrameChunk:
     """One streamed per-frame ledger row."""
@@ -289,24 +195,8 @@ class FrameChunk:
     id: str
     stats: FrameStats
 
-    type = "frame"
 
-    def to_dict(self) -> dict:
-        return {"type": self.type, "id": self.id, "stats": self.stats.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FrameChunk":
-        _reject_unknown(data, {"type", "id", "stats"}, "frame")
-        request_id = _require_id(data, "frame")
-        if "stats" not in data:
-            raise ProtocolError("frame.stats: required field is missing")
-        try:
-            stats = FrameStats.from_dict(data["stats"])
-        except ValueError as exc:
-            raise ProtocolError(f"frame.stats: {exc}") from None
-        return cls(id=request_id, stats=stats)
-
-
+@FRAMES.register("end")
 @dataclass(frozen=True)
 class StreamEnd:
     """Closes a streamed request.
@@ -324,36 +214,12 @@ class StreamEnd:
     n_frames: int
     wall_time_s: float
 
-    type = "end"
-
-    def to_dict(self) -> dict:
-        return {
-            "type": self.type,
-            "id": self.id,
-            "system": self.system,
-            "n_frames": self.n_frames,
-            "wall_time_s": self.wall_time_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamEnd":
-        _reject_unknown(
-            data, {"type", "id", "system", "n_frames", "wall_time_s"}, "end"
-        )
-        request_id = _require_id(data, "end")
-        for fieldname in ("system", "n_frames", "wall_time_s"):
-            if fieldname not in data:
-                raise ProtocolError(f"end.{fieldname}: required field is missing")
-        system = _require(data["system"], "end.system", str, "str")
-        n_frames = _require(data["n_frames"], "end.n_frames", int, "int")
-        if n_frames < 0:
-            raise ProtocolError(f"end.n_frames: must be >= 0, got {n_frames}")
-        wall = _require(data["wall_time_s"], "end.wall_time_s", float, "float")
-        return cls(
-            id=request_id, system=system, n_frames=n_frames, wall_time_s=float(wall)
-        )
+    def __post_init__(self) -> None:
+        if self.n_frames < 0:
+            raise ProtocolError(f"end.n_frames: must be >= 0, got {self.n_frames}")
 
 
+@FRAMES.register("pong")
 @dataclass(frozen=True)
 class PongResponse:
     """Liveness reply; carries the server's package version."""
@@ -361,21 +227,8 @@ class PongResponse:
     id: str
     version: str
 
-    type = "pong"
 
-    def to_dict(self) -> dict:
-        return {"type": self.type, "id": self.id, "version": self.version}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PongResponse":
-        _reject_unknown(data, {"type", "id", "version"}, "pong")
-        request_id = _require_id(data, "pong")
-        if "version" not in data:
-            raise ProtocolError("pong.version: required field is missing")
-        version = _require(data["version"], "pong.version", str, "str")
-        return cls(id=request_id, version=version)
-
-
+@FRAMES.register("server-stats")
 @dataclass(frozen=True)
 class StatsResponse:
     """Server observability snapshot.
@@ -398,82 +251,14 @@ class StatsResponse:
     requests_served: int
     queue_depth: int
     draining: bool
-    cache: dict = field(default_factory=dict)
-    resilience: dict = field(default_factory=dict)
+    cache: dict[str, dict[str, int]] = field(default_factory=dict)
+    resilience: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def __hash__(self):
         return hash((self.id, self.requests_served, self.queue_depth, self.draining))
 
-    type = "server-stats"
 
-    def to_dict(self) -> dict:
-        return {
-            "type": self.type,
-            "id": self.id,
-            "requests_served": self.requests_served,
-            "queue_depth": self.queue_depth,
-            "draining": self.draining,
-            "cache": {
-                tier: dict(counters) for tier, counters in self.cache.items()
-            },
-            "resilience": {
-                group: dict(counters)
-                for group, counters in self.resilience.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StatsResponse":
-        known = {
-            "type",
-            "id",
-            "requests_served",
-            "queue_depth",
-            "draining",
-            "cache",
-            "resilience",
-        }
-        _reject_unknown(data, known, "server-stats")
-        request_id = _require_id(data, "server-stats")
-        for fieldname in ("requests_served", "queue_depth", "draining", "cache"):
-            if fieldname not in data:
-                raise ProtocolError(
-                    f"server-stats.{fieldname}: required field is missing"
-                )
-        served = _require(
-            data["requests_served"], "server-stats.requests_served", int, "int"
-        )
-        depth = _require(data["queue_depth"], "server-stats.queue_depth", int, "int")
-        draining = _require(data["draining"], "server-stats.draining", bool, "bool")
-        cache = _require(data["cache"], "server-stats.cache", dict, "dict")
-        for tier, counters in cache.items():
-            _require(counters, f"server-stats.cache.{tier}", dict, "dict")
-            for counter, value in counters.items():
-                _require(
-                    value, f"server-stats.cache.{tier}.{counter}", int, "int"
-                )
-        # Optional: absent in frames from pre-resilience daemons.
-        resilience = _require(
-            data.get("resilience", {}), "server-stats.resilience", dict, "dict"
-        )
-        for group, counters in resilience.items():
-            _require(counters, f"server-stats.resilience.{group}", dict, "dict")
-            for counter, value in counters.items():
-                _require(
-                    value, f"server-stats.resilience.{group}.{counter}", int, "int"
-                )
-        return cls(
-            id=request_id,
-            requests_served=served,
-            queue_depth=depth,
-            draining=draining,
-            cache={tier: dict(counters) for tier, counters in cache.items()},
-            resilience={
-                group: dict(counters) for group, counters in resilience.items()
-            },
-        )
-
-
+@FRAMES.register("ok")
 @dataclass(frozen=True)
 class OkResponse:
     """Generic acknowledgement (shutdown accepted, ...)."""
@@ -481,19 +266,8 @@ class OkResponse:
     id: str
     detail: str = ""
 
-    type = "ok"
 
-    def to_dict(self) -> dict:
-        return {"type": self.type, "id": self.id, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OkResponse":
-        _reject_unknown(data, {"type", "id", "detail"}, "ok")
-        request_id = _require_id(data, "ok")
-        detail = _require(data.get("detail", ""), "ok.detail", str, "str")
-        return cls(id=request_id, detail=detail)
-
-
+@FRAMES.register("error")
 @dataclass(frozen=True)
 class ErrorResponse:
     """A typed failure; the connection remains usable.
@@ -509,8 +283,6 @@ class ErrorResponse:
     code: str
     message: str = ""
 
-    type = "error"
-
     def __post_init__(self) -> None:
         if self.code not in ERROR_CODES:
             raise ProtocolError(
@@ -518,62 +290,18 @@ class ErrorResponse:
                 f"known codes: {list(ERROR_CODES)}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "type": self.type,
-            "id": self.id,
-            "code": self.code,
-            "message": self.message,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ErrorResponse":
-        _reject_unknown(data, {"type", "id", "code", "message"}, "error")
-        request_id = _require_id(data, "error")
-        if "code" not in data:
-            raise ProtocolError("error.code: required field is missing")
-        code = _require(data["code"], "error.code", str, "str")
-        message = _require(data.get("message", ""), "error.message", str, "str")
-        return cls(id=request_id, code=code, message=message)
-
-
-#: Discriminator -> frame class, the :func:`parse_frame` dispatch table.
-FRAME_TYPES = {
-    cls.type: cls
-    for cls in (
-        RunRequest,
-        PingRequest,
-        StatsRequest,
-        ShutdownRequest,
-        ResultResponse,
-        FrameChunk,
-        StreamEnd,
-        PongResponse,
-        StatsResponse,
-        OkResponse,
-        ErrorResponse,
-    )
-}
-
 
 def parse_frame(data: dict):
-    """Dispatch a decoded frame dict to its typed form.
+    """Dispatch a decoded frame dict to its typed form (a :data:`FRAMES` lookup).
 
     Raises:
-        ProtocolError: missing/unknown ``type``, or the frame's own
-            validation failed (the message names the field).
+        ProtocolError: missing, non-string or unknown ``type``, or the
+            frame's own validation failed (the message names the field
+            path).  ``code`` is ``"bad-request"`` when the frame was
+            well-formed but its scenario spec was not, else
+            ``"bad-frame"``.
     """
-    if not isinstance(data, dict):
-        raise ProtocolError(f"frame: expected a JSON object, got {data!r}")
-    frame_type = data.get("type")
-    if frame_type is None:
-        raise ProtocolError("frame.type: required field is missing")
-    if frame_type not in FRAME_TYPES:
-        raise ProtocolError(
-            f"frame.type: unknown frame type {frame_type!r}; "
-            f"known types: {sorted(FRAME_TYPES)}"
-        )
-    return FRAME_TYPES[frame_type].from_dict(data)
+    return FRAMES.decode(data)
 
 
 # -- wire IO ------------------------------------------------------------------
@@ -621,7 +349,8 @@ def read_frame(reader, max_bytes: int = MAX_FRAME_BYTES):
         raise TruncatedFrameError("connection closed mid-frame (truncated line)")
     try:
         data = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers.
         raise ProtocolError(f"frame is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ProtocolError(f"frame: expected a JSON object, got {data!r}")

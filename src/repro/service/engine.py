@@ -346,7 +346,6 @@ class Engine:
             runner = StreamRunner(
                 pipeline,
                 reuse=policy,
-                batch_size=scenario.batch_size,
                 keep_outcomes=scenario.keep_outcomes,
                 window=scenario.window,
                 label=scenario.label,

@@ -264,13 +264,13 @@ def _run_chunk(
     this process hard (``os._exit``) — the parent observes a broken pool
     and re-dispatches.
     """
-    from ..faults.injector import FaultInjector
+    from ..faults import FaultInjector, FaultPlan
     from ..faults.runtime import default_injector
     from .cache import EngineCache, spec_fingerprint
     from .engine import Engine
 
     if fault_plan is not None:
-        injector = FaultInjector.from_dict(fault_plan)
+        injector = FaultInjector(FaultPlan.from_dict(fault_plan))
     else:
         injector = default_injector()
 

@@ -14,16 +14,18 @@ and be diffed in review:
 
 Every spec round-trips exactly (``from_dict(to_dict(s)) == s``) and every
 validation error names the offending field (``scenario.n_frames: ...``),
-so a broken spec file is a one-glance fix.
+so a broken spec file is a one-glance fix.  The conventions are the
+codec's (:mod:`repro.codec`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
+from ..codec import serializable
 from ..core.config import HiRISEConfig
 from ..sensor.noise import NoiseModel
 from .executor import EXECUTOR_NAMES
@@ -34,25 +36,13 @@ class SpecError(ValueError):
     """A spec failed validation; the message names the bad field."""
 
 
-def _require(data: object, fieldname: str, kind: type, type_name: str):
-    if not isinstance(data, kind) or (kind is int and isinstance(data, bool)):
-        raise SpecError(
-            f"{fieldname}: expected {type_name}, got {data!r}"
-        )
-    return data
-
-
-def _reject_unknown(data: dict, known: set[str], fieldname: str) -> None:
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise SpecError(
-            f"{fieldname}: unknown field(s) {unknown}; known fields: {sorted(known)}"
-        )
-
-
+@serializable("component", SpecError, shorthand=lambda name: {"name": name})
 @dataclass(frozen=True)
 class ComponentRef:
     """A registered component, by name, plus its construction params.
+
+    A bare name string reads as ``{"name": <name>}`` wherever a component
+    is expected.
 
     Attributes:
         name: the registry key (e.g. "pedestrian", "temporal-reuse").
@@ -60,7 +50,7 @@ class ComponentRef:
     """
 
     name: str
-    params: dict = field(default_factory=dict)
+    params: dict[str, Any] = field(default_factory=dict)
 
     def __hash__(self) -> int:
         # The generated frozen-dataclass hash would choke on the params
@@ -71,24 +61,6 @@ class ComponentRef:
         except (TypeError, ValueError):
             params = repr(sorted(self.params))
         return hash((self.name, params))
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data, fieldname: str = "component") -> "ComponentRef":
-        """Parse ``{"name": ..., "params": {...}}`` (or a bare name string)."""
-        if isinstance(data, str):
-            return cls(data)
-        _require(data, fieldname, dict, "a dict or component-name string")
-        _reject_unknown(data, {"name", "params"}, fieldname)
-        if "name" not in data:
-            raise SpecError(f"{fieldname}.name: required field is missing")
-        name = _require(data["name"], f"{fieldname}.name", str, "str")
-        params = _require(
-            data.get("params", {}), f"{fieldname}.params", dict, "dict"
-        )
-        return cls(name, dict(params))
 
     def resolve(self, registry: Registry, fieldname: str):
         """Look the factory up, re-raising with the spec field named."""
@@ -102,9 +74,12 @@ def _component_field(name: str):
     return field(default_factory=lambda: ComponentRef(name))
 
 
+@serializable("system", SpecError, shorthand=lambda system: {"system": system})
 @dataclass(frozen=True)
 class SystemSpec:
     """What system serves the requests (shared across a batch).
+
+    A bare string reads as ``{"system": <string>}`` (``"conventional"``).
 
     Attributes:
         system: "hirise" (two-stage, in-sensor pooling + selective ROI) or
@@ -143,61 +118,8 @@ class SystemSpec:
                 f"got {self.compute_dtype!r}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "config": self.config.to_dict(),
-            "detector": self.detector.to_dict(),
-            "classifier": self.classifier.to_dict(),
-            "noise": None if self.noise is None else dataclasses.asdict(self.noise),
-            "compute_dtype": self.compute_dtype,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SystemSpec":
-        _require(data, "system", dict, "dict")
-        _reject_unknown(
-            data,
-            {"system", "config", "detector", "classifier", "noise", "compute_dtype"},
-            "system",
-        )
-        kwargs = {}
-        if "system" in data:
-            kwargs["system"] = _require(data["system"], "system.system", str, "str")
-        if "compute_dtype" in data:
-            kwargs["compute_dtype"] = _require(
-                data["compute_dtype"], "system.compute_dtype", str, "str"
-            )
-        if "config" in data:
-            config = data["config"]
-            _require(config, "system.config", dict, "dict")
-            try:
-                kwargs["config"] = HiRISEConfig.from_dict(config)
-            except ValueError as exc:
-                raise SpecError(f"system.config: {exc}") from None
-        if "detector" in data:
-            kwargs["detector"] = ComponentRef.from_dict(
-                data["detector"], "system.detector"
-            )
-        if "classifier" in data:
-            kwargs["classifier"] = ComponentRef.from_dict(
-                data["classifier"], "system.classifier"
-            )
-        if data.get("noise") is not None:
-            noise = _require(data["noise"], "system.noise", dict, "dict")
-            valid = {f.name for f in dataclasses.fields(NoiseModel)}
-            _reject_unknown(noise, valid, "system.noise")
-            kwargs["noise"] = NoiseModel(**noise)
-        return cls(**kwargs)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SystemSpec":
-        return cls.from_dict(json.loads(text))
-
-
+@serializable("scenario", SpecError)
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One request: a stream to run and how to run it.
@@ -211,8 +133,6 @@ class ScenarioSpec:
             defaults to the frame index (the stream runner's contract).
         policy: reuse policy slot (``POLICIES`` registry); "none" runs
             stage 1 on every frame.
-        batch_size: legacy alias for ``window`` (HiRISE only; mutually
-            exclusive with a reuse policy and with ``window > 1``).
         keep_outcomes: retain full per-frame outcomes on the result
             (costs memory; needed for bit-identity audits).
         window: stage-1 frames vectorized per NumPy pass (HiRISE only).
@@ -226,24 +146,14 @@ class ScenarioSpec:
     seed: int = 0
     frame_seeds: tuple[int, ...] | None = None
     policy: ComponentRef = _component_field("none")
-    batch_size: int = 1
     keep_outcomes: bool = False
     window: int = 1
 
     def __post_init__(self) -> None:
         if self.n_frames < 1:
             raise SpecError(f"scenario.n_frames: must be >= 1, got {self.n_frames}")
-        if self.batch_size < 1:
-            raise SpecError(
-                f"scenario.batch_size: must be >= 1, got {self.batch_size}"
-            )
         if self.window < 1:
             raise SpecError(f"scenario.window: must be >= 1, got {self.window}")
-        if self.window > 1 and self.batch_size > 1:
-            raise SpecError(
-                "scenario.window: mutually exclusive with batch_size (its "
-                "legacy alias); set only window"
-            )
         if self.frame_seeds is not None and len(self.frame_seeds) != self.n_frames:
             raise SpecError(
                 f"scenario.frame_seeds: {len(self.frame_seeds)} seeds for "
@@ -254,65 +164,13 @@ class ScenarioSpec:
     def label(self) -> str:
         return self.name or f"{self.source.name}/{self.policy.name}"
 
-    def to_dict(self) -> dict:
-        data = {
-            "name": self.name,
-            "source": self.source.to_dict(),
-            "n_frames": self.n_frames,
-            "seed": self.seed,
-            "frame_seeds": (
-                None if self.frame_seeds is None else list(self.frame_seeds)
-            ),
-            "policy": self.policy.to_dict(),
-            "batch_size": self.batch_size,
-            "keep_outcomes": self.keep_outcomes,
-            "window": self.window,
-        }
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        _require(data, "scenario", dict, "dict")
-        known = {f.name for f in dataclasses.fields(cls)}
-        _reject_unknown(data, known, "scenario")
-        kwargs = {}
-        if "name" in data:
-            kwargs["name"] = _require(data["name"], "scenario.name", str, "str")
-        if "source" in data:
-            kwargs["source"] = ComponentRef.from_dict(data["source"], "scenario.source")
-        if "policy" in data:
-            kwargs["policy"] = ComponentRef.from_dict(data["policy"], "scenario.policy")
-        for intfield in ("n_frames", "seed", "batch_size", "window"):
-            if intfield in data:
-                kwargs[intfield] = _require(
-                    data[intfield], f"scenario.{intfield}", int, "int"
-                )
-        if data.get("frame_seeds") is not None:
-            seeds = _require(
-                data["frame_seeds"], "scenario.frame_seeds", list, "a list of ints"
-            )
-            kwargs["frame_seeds"] = tuple(
-                _require(s, "scenario.frame_seeds[...]", int, "int") for s in seeds
-            )
-        if "keep_outcomes" in data:
-            kwargs["keep_outcomes"] = _require(
-                data["keep_outcomes"], "scenario.keep_outcomes", bool, "bool"
-            )
-        return cls(**kwargs)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
-
     def validate_components(self) -> None:
         """Resolve both component slots, raising :class:`SpecError` on typos."""
         self.source.resolve(SOURCES, "scenario.source")
         self.policy.resolve(POLICIES, "scenario.policy")
 
 
+@serializable("spec", SpecError)
 @dataclass(frozen=True)
 class ServiceSpec:
     """A complete spec file: one system, scenarios, and execution knobs.
@@ -339,49 +197,6 @@ class ServiceSpec:
                 f"known executors: {list(EXECUTOR_NAMES)}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system.to_dict(),
-            "scenarios": [s.to_dict() for s in self.scenarios],
-            "workers": self.workers,
-            "executor": self.executor,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceSpec":
-        _require(data, "spec", dict, "dict")
-        _reject_unknown(data, {"system", "scenarios", "workers", "executor"}, "spec")
-        kwargs = {}
-        if "system" in data:
-            system = data["system"]
-            # Accept the bare-string shorthand ({"system": "hirise"}) here
-            # too, so adding a "scenarios" list to a bare system spec — the
-            # CLI's own fix-it advice — never changes how "system" parses.
-            if isinstance(system, str):
-                system = {"system": system}
-            kwargs["system"] = SystemSpec.from_dict(system)
-        if "scenarios" in data:
-            scenarios = _require(
-                data["scenarios"], "spec.scenarios", list, "a list of scenario dicts"
-            )
-            kwargs["scenarios"] = tuple(
-                ScenarioSpec.from_dict(s) for s in scenarios
-            )
-        if "workers" in data:
-            kwargs["workers"] = _require(data["workers"], "spec.workers", int, "int")
-        if "executor" in data:
-            kwargs["executor"] = _require(
-                data["executor"], "spec.executor", str, "str"
-            )
-        return cls(**kwargs)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServiceSpec":
-        return cls.from_dict(json.loads(text))
-
 
 def load_spec(path: str | Path) -> ServiceSpec:
     """Read a JSON spec file into a :class:`ServiceSpec`.
@@ -407,12 +222,11 @@ def coerce_service_spec(data) -> "ServiceSpec":
         return data
     if isinstance(data, SystemSpec):
         return ServiceSpec(system=data)
-    _require(data, "spec", dict, "dict")
-    if (
+    if isinstance(data, dict) and not (
         "scenarios" in data
         or "workers" in data
         or "executor" in data
         or isinstance(data.get("system"), dict)
     ):
-        return ServiceSpec.from_dict(data)
-    return ServiceSpec(system=SystemSpec.from_dict(data))
+        return ServiceSpec(system=SystemSpec.from_dict(data))
+    return ServiceSpec.from_dict(data)

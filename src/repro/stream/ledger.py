@@ -12,28 +12,20 @@ managed to run without any stage-1 work at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
+from ..codec import hook, serializable
 from ..core.pipeline import PipelineOutcome
 
 
-def _require(value: object, fieldname: str, kind: type, type_name: str):
-    # bool is an int subclass; an int field must still reject True/False,
-    # and a bool field must reject 0/1 — exact types keep round-trips exact.
-    if kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise ValueError(f"{fieldname}: expected {type_name}, got {value!r}")
-    return value
-
-
+@serializable("frame_stats")
 @dataclass(frozen=True)
 class FrameStats:
     """One frame's costs, decoupled from its images.
+
+    The serving protocol's per-frame payload: every field is a JSON scalar
+    and Python floats round-trip exactly through JSON text, so a row that
+    crosses a socket compares bit-equal to the one that was sent.
 
     Attributes:
         frame_index: position in the stream.
@@ -93,54 +85,34 @@ class FrameStats:
         """All three flows for this frame (paper Eq. 1, per frame)."""
         return self.stage1_bytes + self.roi_feedback_bytes + self.stage2_bytes
 
-    # -- serialization (the serving protocol's per-frame payload) ---------------
 
-    def to_dict(self) -> dict:
-        """Plain-data form; round-trips exactly through :meth:`from_dict`.
-
-        Every field is a JSON scalar (ints, bools, strings, one float), and
-        Python floats round-trip exactly through JSON text, so a frame row
-        that crosses a socket compares bit-equal to the one that was sent.
-        """
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FrameStats":
-        """Parse a :meth:`to_dict` payload; errors name the offending field."""
-        _require(data, "frame_stats", dict, "dict")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"frame_stats: unknown field(s) {unknown}; "
-                f"known fields: {sorted(known)}"
-            )
-        missing = sorted(known - set(data))
-        if missing:
-            raise ValueError(f"frame_stats: missing field(s) {missing}")
-        kwargs = {}
-        for f in fields(cls):
-            kind = {"int": int, "bool": bool, "str": str, "float": float}[f.type]
-            value = _require(data[f.name], f"frame_stats.{f.name}", kind, f.type)
-            kwargs[f.name] = float(value) if kind is float else value
-        return cls(**kwargs)
-
-
+@serializable("stream_outcome")
 @dataclass
 class StreamOutcome:
     """Everything a stream run produced and cost, cumulatively.
+
+    The serving protocol's whole-result payload; ``outcomes`` stays local.
 
     Attributes:
         system: "hirise" or "conventional".
         frames: per-frame ledger rows, in stream order.
         outcomes: full per-frame outcomes when the runner was asked to keep
             them (``keep_outcomes=True``); empty otherwise to bound memory.
+            They hold live images and never cross the wire: encoding an
+            outcome that kept them raises, so a caller never silently
+            loses data.
         wall_time_s: measured wall-clock time of the run.
     """
 
     system: str
     frames: list[FrameStats] = field(default_factory=list)
-    outcomes: list[PipelineOutcome] = field(default_factory=list)
+    outcomes: list[PipelineOutcome] = field(
+        default_factory=list,
+        metadata=hook(
+            local="full per-frame outcomes are not serializable; run "
+            "without keep_outcomes to send this result over the wire"
+        ),
+    )
     wall_time_s: float = 0.0
 
     def append(
@@ -242,50 +214,3 @@ class StreamOutcome:
                 f"({self.wall_time_s * 1e3:.0f} ms wall)"
             )
         return "\n".join(lines)
-
-    # -- serialization (the serving protocol's whole-result payload) ------------
-
-    def to_dict(self) -> dict:
-        """Plain-data form; round-trips exactly through :meth:`from_dict`.
-
-        ``outcomes`` (full per-frame :class:`PipelineOutcome` objects, kept
-        only under ``keep_outcomes=True``) hold live images and are
-        deliberately not serializable — the ledger rows are the wire
-        contract.  Serializing an outcome that kept them raises so a
-        caller never silently loses data.
-        """
-        if self.outcomes:
-            raise ValueError(
-                "stream_outcome.outcomes: full per-frame outcomes are not "
-                "serializable; run without keep_outcomes to send this "
-                "result over the wire"
-            )
-        return {
-            "system": self.system,
-            "frames": [f.to_dict() for f in self.frames],
-            "wall_time_s": self.wall_time_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamOutcome":
-        """Parse a :meth:`to_dict` payload; errors name the offending field."""
-        _require(data, "stream_outcome", dict, "dict")
-        known = {"system", "frames", "wall_time_s"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"stream_outcome: unknown field(s) {unknown}; "
-                f"known fields: {sorted(known)}"
-            )
-        system = _require(data.get("system", ""), "stream_outcome.system", str, "str")
-        rows = _require(
-            data.get("frames", []), "stream_outcome.frames", list, "a list of dicts"
-        )
-        wall = _require(
-            data.get("wall_time_s", 0.0), "stream_outcome.wall_time_s", float, "float"
-        )
-        return cls(
-            system=system,
-            frames=[FrameStats.from_dict(row) for row in rows],
-            wall_time_s=float(wall),
-        )

@@ -98,8 +98,6 @@ class StreamRunner:
             policy deems stable skip stage 1 entirely.  Composes with
             ``window > 1`` (the window is exposed ahead speculatively;
             pooled results are discarded on reused frames).
-        batch_size: legacy alias for ``window`` (HiRISE only, no reuse) —
-            kept for spec compatibility; new callers should set ``window``.
         keep_outcomes: retain every full :class:`PipelineOutcome` on the
             stream outcome (costs memory; off by default so long streams
             stay ledger-sized).
@@ -117,7 +115,6 @@ class StreamRunner:
 
     pipeline: HiRISEPipeline | ConventionalPipeline
     reuse: TemporalROIReuse | None = None
-    batch_size: int = 1
     keep_outcomes: bool = False
     on_stats: Callable[[FrameStats], None] | None = None
     window: int = 1
@@ -131,30 +128,12 @@ class StreamRunner:
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError(f"window: must be >= 1, got {self.window}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size: must be >= 1, got {self.batch_size}")
-        if self.batch_size > 1 and self.window > 1:
-            raise ValueError(
-                "window: mutually exclusive with batch_size (its legacy "
-                "alias); set only window"
-            )
-        if self.reuse is not None and self.batch_size > 1:
-            raise ValueError(
-                "temporal ROI reuse decides frame-by-frame; it cannot be "
-                "combined with batched stage-1 readout (use window=, which "
-                "composes with reuse)"
-            )
         if isinstance(self.pipeline, ConventionalPipeline):
-            if self.reuse is not None or self.batch_size > 1 or self.window > 1:
+            if self.reuse is not None or self.window > 1:
                 raise ValueError(
                     "reuse/windowing are HiRISE features; the conventional "
                     "baseline ships every frame in full"
                 )
-
-    @property
-    def effective_window(self) -> int:
-        """The stage-1 vectorization width actually driven (>= 1)."""
-        return self.window if self.window > 1 else self.batch_size
 
     def run(
         self,
@@ -188,7 +167,7 @@ class StreamRunner:
             # previous clip must never grant reuse on scenes that were
             # never detected.
             self.reuse.reset()
-        window = 1 if conventional else self.effective_window
+        window = 1 if conventional else self.window
         start = time.perf_counter()
         self._drive(frames, frame_seeds, on_frame, outcome, window)
         outcome.wall_time_s = time.perf_counter() - start
@@ -289,7 +268,7 @@ class StreamRunner:
         first = chunk[0][2]
         if not isinstance(first, np.ndarray) or first.ndim not in (2, 3):
             return None
-        shape = (self.effective_window, first.shape[0], first.shape[1], 3)
+        shape = (self.window, first.shape[0], first.shape[1], 3)
         if self._expose_buf is None or self._expose_buf.shape != shape:
             self._expose_buf = np.empty(shape, dtype=np.float64)
         return self._expose_buf[: len(chunk)]

@@ -108,7 +108,22 @@ class TestServiceCLI:
         bad.write_text(json.dumps({"scenarios": [{"n_frames": "ten"}]}))
         assert main(["run", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert "scenario.n_frames" in err
+        assert "spec.scenarios[0].n_frames" in err
+
+    @pytest.mark.parametrize(
+        "config", [{"pool_k": "4"}, {"pool_k": 2.5}, {"pool_k": True}]
+    )
+    def test_run_nested_config_type_exits_two_naming_field(
+        self, tmp_path, capsys, config
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {"system": {"system": "hirise", "config": config}, "scenarios": [{}]}
+            )
+        )
+        assert main(["run", str(bad)]) == 2
+        assert "spec.system.config.pool_k: expected int" in capsys.readouterr().err
 
     def test_run_spec_without_scenarios(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
@@ -363,6 +378,34 @@ class TestServingCLI:
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, flags, message",
+        [
+            ({}, ["--timeout", "0"], "error [bad-frame]: run.timeout_s: must be > 0"),
+            ({}, ["--timeout", "nan"], "error [bad-frame]: run.timeout_s: must be > 0"),
+            (
+                {"keep_outcomes": True},
+                [],
+                "error [bad-request]: run.scenario.keep_outcomes:",
+            ),
+        ],
+    )
+    def test_request_rejected_before_sending_is_clean_error(
+        self, server, tmp_path, capsys, scenario, flags, message
+    ):
+        host, port = server.address
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps(dict(self.SCENARIO, **scenario)))
+        code = main([
+            "request", "--host", host, "--port", str(port), str(spec), *flags,
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        from repro.server import ServerClient
+
+        with ServerClient(host, port) as client:
+            assert client.stats().requests_served == 0
 
 
 class TestCacheCLI:

@@ -77,7 +77,7 @@ class TestHiRISEConfig:
         assert HiRISEConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_config_from_dict_names_unknown_fields(self):
-        with pytest.raises(ValueError, match=r"\['pool_q'\].*valid fields"):
+        with pytest.raises(ValueError, match=r"\['pool_q'\].*known fields"):
             HiRISEConfig.from_dict({"pool_q": 8})
 
     def test_score_threshold_gates_explicit_rois(self, scene_image, head_rois):

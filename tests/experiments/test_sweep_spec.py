@@ -217,7 +217,7 @@ class TestExpansion:
         )
         base = spec.baseline_scenario(scenario)
         assert base.policy.name == "none"
-        assert base.batch_size == 1
+        assert base.window == 1
         assert not base.keep_outcomes
         assert base.name == ""
         # the clip identity is preserved

@@ -60,7 +60,7 @@ class TestFiring:
 
     def test_from_dict_round_trip(self):
         plan = plan_with(FaultSpec(site="worker.run", kind="worker-crash", at=(0,)))
-        rebuilt = FaultInjector.from_dict(plan.to_dict())
+        rebuilt = FaultInjector(FaultPlan.from_dict(plan.to_dict()))
         assert rebuilt.plan == plan
 
     def test_injected_fault_is_oserror(self):

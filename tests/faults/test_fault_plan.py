@@ -58,6 +58,40 @@ class TestValidation:
         with pytest.raises(FaultPlanError, match="fault.limit"):
             FaultSpec(site="store.load", kind="store-io-error", rate=0.5, limit=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"rate": True}, "fault.rate"),
+            ({"rate": "0.5"}, "fault.rate"),
+            ({"delay_s": True}, "fault.delay_s"),
+            ({"at": (True,)}, "fault.at"),
+            ({"limit": 1.5}, "fault.limit"),
+        ],
+    )
+    def test_python_caller_types_checked(self, kwargs, field):
+        with pytest.raises(FaultPlanError, match=field):
+            FaultSpec(site="store.load", kind="store-io-error", **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"seed": "x"}, "plan.seed"),
+            ({"seed": True}, "plan.seed"),
+            ({"name": 5}, "plan.name"),
+            ({"fuse_dir": 5}, "plan.fuse_dir"),
+        ],
+    )
+    def test_python_caller_plan_types_checked(self, kwargs, field):
+        with pytest.raises(FaultPlanError, match=field):
+            FaultPlan(**kwargs)
+
+    def test_int_rate_and_delay_stored_as_float(self):
+        fault = FaultSpec(
+            site="server.reply", kind="reply-delay", rate=1, delay_s=2
+        )
+        assert (fault.rate, fault.delay_s) == (1.0, 2.0)
+        assert type(fault.rate) is float and type(fault.delay_s) is float
+
     def test_unknown_scope_rejected(self):
         with pytest.raises(FaultPlanError, match="fault.scope"):
             FaultSpec(site="worker.run", kind="worker-crash", scope="galaxy")

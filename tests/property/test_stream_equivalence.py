@@ -18,7 +18,6 @@ readout whose counter a speculative window pass already advanced) fails
 loudly here.
 """
 
-import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -225,9 +224,3 @@ class TestEngineWindowEquivalence:
             oracle = oracles[request.source.name, request.policy.name, 3]
             assert result.outcome.frames == oracle.frames
 
-    def test_legacy_batch_size_alias_matches_window(self, engine, oracles):
-        """batch_size (the pre-window spelling) still runs and agrees."""
-        got = engine.run(
-            dataclasses.replace(scenario("pedestrian", "none", 1), batch_size=4)
-        ).outcome
-        assert got.frames == oracles["pedestrian", "none", 3].frames

@@ -196,6 +196,40 @@ class TestRequests:
             finally:
                 sock.close()
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # A non-string discriminator once killed the handler thread
+            # (unhashable dict key), so the client read EOF.
+            b'{"type": ["run"], "id": "x"}',
+            b'{"type": {"run": 1}, "id": "x"}',
+            # A NaN deadline passed "<= 0" and timed out at once while the
+            # job kept running; Infinity overflowed Future.result.
+            b'{"type": "run", "id": "x", "scenario": {}, "timeout_s": NaN}',
+            b'{"type": "run", "id": "x", "scenario": {}, "timeout_s": Infinity}',
+            b'{"type": "run", "id": "x", "scenario": {}, "timeout_s": -Infinity}',
+            b'{"type": "run", "id": "x", "scenario": {}, "timeout_s": 1e300}',
+            b'{"type": "ping", "id": 1' + b"0" * 5000 + b"}",
+            b"[" * 100_000,
+        ],
+        ids=[
+            "list-type", "dict-type", "nan-timeout", "inf-timeout",
+            "neg-inf-timeout", "huge-timeout", "huge-int", "deep-nesting",
+        ],
+    )
+    def test_malformed_line_earns_bad_frame_then_ping_pongs(self, line):
+        with ReproServer(SYSTEM, workers=1, executor="serial") as server:
+            sock, reader = raw_socket(server)
+            try:
+                sock.sendall(line + b"\n")
+                error = parse_frame(read_frame(reader))
+                assert error.type == "error" and error.code == "bad-frame"
+                sock.sendall(encode_frame({"type": "ping", "id": "after"}))
+                pong = parse_frame(read_frame(reader))
+                assert pong.type == "pong" and pong.id == "after"
+            finally:
+                sock.close()
+
     def test_oversized_frame_rejected_without_killing_connection(self):
         with ReproServer(
             SYSTEM, workers=1, executor="serial", max_frame_bytes=512

@@ -7,7 +7,7 @@ import pytest
 
 from repro.server.protocol import (
     ERROR_CODES,
-    FRAME_TYPES,
+    FRAMES,
     MAX_FRAME_BYTES,
     ErrorResponse,
     FrameChunk,
@@ -78,7 +78,7 @@ def sample_frames():
 
 class TestRoundTrips:
     def test_every_frame_type_is_registered(self):
-        assert sorted(FRAME_TYPES) == sorted(
+        assert FRAMES.names() == sorted(
             ["run", "ping", "stats", "shutdown", "result", "frame", "end",
              "pong", "server-stats", "ok", "error"]
         )

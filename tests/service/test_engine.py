@@ -101,14 +101,6 @@ class TestConstruction:
         with pytest.raises(SpecError, match=r"system\.classifier.*mean-luma"):
             engine.run(scenario())
 
-    def test_reuse_plus_batching_rejected_as_spec_error(self):
-        engine = Engine(SYSTEM)
-        bad = scenario(
-            policy=ComponentRef("temporal-reuse"), batch_size=4
-        )
-        with pytest.raises(SpecError, match="reuse"):
-            engine.run(bad)
-
 
 class TestServing:
     def test_run_matches_hand_wired_runner(self):
@@ -212,7 +204,7 @@ class TestBatch:
     def requests(self):
         return [
             scenario(name="a/frame"),
-            scenario(name="a/batch", batch_size=3),
+            scenario(name="a/batch", window=3),
             scenario(name="a/reuse", policy=ComponentRef("temporal-reuse")),
             scenario(name="b/other-seed", seed=9),
         ]
@@ -447,7 +439,7 @@ class TestEngineProfiling:
 
     def test_batched_stage1_mode_profiles_chunked_phases(self):
         engine = Engine(SYSTEM, profile=True)
-        result = engine.run(scenario(n_frames=4, batch_size=2))
+        result = engine.run(scenario(n_frames=4, window=2))
         profile = result.profile
         assert profile.get("stage1.read").calls == 2  # one per chunk flush
         assert profile.get("detect").calls == 4       # still per frame

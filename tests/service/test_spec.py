@@ -23,7 +23,6 @@ def rich_scenario() -> ScenarioSpec:
         seed=17,
         frame_seeds=(3, 1, 4, 1, 5),
         policy=ComponentRef("temporal-reuse", {"max_reuse": 2}),
-        batch_size=1,
         keep_outcomes=True,
         window=4,
     )
@@ -118,12 +117,8 @@ class TestValidation:
     def test_scenario_bounds_named(self):
         with pytest.raises(SpecError, match=r"scenario\.n_frames"):
             ScenarioSpec(n_frames=0)
-        with pytest.raises(SpecError, match=r"scenario\.batch_size"):
-            ScenarioSpec(batch_size=0)
         with pytest.raises(SpecError, match=r"scenario\.window: must be >= 1"):
             ScenarioSpec(window=0)
-        with pytest.raises(SpecError, match=r"scenario\.window.*legacy"):
-            ScenarioSpec(window=2, batch_size=2)
 
     def test_window_reaches_the_runner(self):
         """The spec knob lands on the engine's StreamRunner (and the
@@ -139,7 +134,6 @@ class TestValidation:
         clip = engine._build_clip(scenario)
         runner, _ = engine._build_runner(scenario, clip)
         assert runner.window == 4
-        assert runner.effective_window == 4
         assert runner.label == "pedestrian/none"
         conventional = Engine.from_spec({"system": {"system": "conventional"}})
         with pytest.raises(SpecError, match=r"'pedestrian/none'.*conventional"):
@@ -178,7 +172,7 @@ class TestValidation:
             ServiceSpec.from_dict({"scenarios": {"name": "not-a-list"}})
 
     def test_hirise_config_unknown_fields_named(self):
-        with pytest.raises(ValueError, match=r"pool_q.*valid fields"):
+        with pytest.raises(ValueError, match=r"pool_q.*known fields"):
             HiRISEConfig.from_dict({"pool_q": 8, "adc_bits": 8})
 
 

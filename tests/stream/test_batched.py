@@ -182,7 +182,7 @@ class TestRunnerBatchParity:
             clip.frames, on_frame=on_frame
         )
         pipeline, on_frame = build()
-        bat = StreamRunner(pipeline, batch_size=4, keep_outcomes=True).run(
+        bat = StreamRunner(pipeline, window=4, keep_outcomes=True).run(
             clip.frames, on_frame=on_frame
         )
 

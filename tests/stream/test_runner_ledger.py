@@ -144,15 +144,8 @@ class TestRunnerModes:
         assert stream.n_frames == len(clip)
 
     def test_validation(self, clip):
-        pipeline = HiRISEPipeline()
-        with pytest.raises(ValueError):
-            StreamRunner(pipeline, batch_size=0)
-        with pytest.raises(ValueError, match="frame-by-frame"):
-            StreamRunner(pipeline, reuse=TemporalROIReuse(), batch_size=2)
         with pytest.raises(ValueError, match="conventional"):
             StreamRunner(ConventionalPipeline(), reuse=TemporalROIReuse())
-        with pytest.raises(ValueError, match="conventional"):
-            StreamRunner(ConventionalPipeline(), batch_size=2)
 
     def test_window_validation(self):
         pipeline = HiRISEPipeline()
@@ -161,13 +154,11 @@ class TestRunnerModes:
             StreamRunner(pipeline, window=0)
         with pytest.raises(ValueError, match=r"window: must be >= 1, got -3"):
             StreamRunner(pipeline, window=-3)
-        with pytest.raises(ValueError, match="legacy"):
-            StreamRunner(pipeline, window=2, batch_size=2)
         with pytest.raises(ValueError, match="conventional"):
             StreamRunner(ConventionalPipeline(), window=2)
-        # window composes with reuse (unlike the legacy batch_size knob).
+        # window composes with reuse.
         runner = StreamRunner(pipeline, reuse=TemporalROIReuse(), window=4)
-        assert runner.effective_window == 4
+        assert runner.window == 4
 
     def test_seed_mismatch_error_names_the_stream(self, clip):
         runner, _ = hirise_runner(clip, label="pedestrian/none")
@@ -318,7 +309,7 @@ class TestLedgerSerialization:
             FrameStats.from_dict(dict(data, surprise=1))
         missing = dict(data)
         del missing["n_rois"]
-        with pytest.raises(ValueError, match=r"missing field\(s\) \['n_rois'\]"):
+        with pytest.raises(ValueError, match=r"frame_stats\.n_rois: required field is missing"):
             FrameStats.from_dict(missing)
 
     def test_exact_types_reject_bool_int_impostors(self, clip):
