@@ -8,12 +8,14 @@ plain data, no hand-wired pipelines — and serves them all through one
 
 * **conventional**   — ship every full frame (Fig. 2a, streamed);
 * **hirise/frame**   — the two-stage HiRISE flow on every frame;
-* **hirise/window**  — same results bit-for-bit, but stage-1 exposure +
-  analog pooling + ADC vectorized over 12-frame windows into a
-  preallocated exposure buffer (``window=12``);
+* **hirise/window**  — same results bit-for-bit, but exposure vectorized
+  over 12-frame windows into a preallocated exposure buffer
+  (``window=12``);
 * **hirise/reuse**   — temporal ROI reuse: frames whose stage-1 results
   proved stable (IoU-gated) skip the pooled conversion *and* the detector,
-  reading only tracker-predicted windows (composes with ``window=``).
+  reading only tracker-predicted windows (composes with ``window=``: a
+  frame is pooled only if it runs stage 1).  ``policy="keyframe"`` swaps
+  in a fixed stage-1 cadence instead.
 
 Run:  python examples/video_stream.py
 """

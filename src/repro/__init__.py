@@ -16,8 +16,8 @@ and Selective ROI.  The package provides:
 * :mod:`repro.transfer` — sensor<->processor link accounting.
 * :mod:`repro.core` — the HiRISE system: ROI algebra, the Table 1 cost
   model, the energy model, and end-to-end pipelines.
-* :mod:`repro.stream` — the video layer: stream runner, temporal ROI
-  reuse, batched stage-1 readout, and cumulative stream accounting.
+* :mod:`repro.stream` — the video layer: stream runner, temporal and
+  keyframe ROI reuse, batched exposure, and cumulative stream accounting.
 * :mod:`repro.service` — the unified service API: component registries,
   serializable :class:`SystemSpec`/:class:`ScenarioSpec` specs, and the
   :class:`Engine` façade with concurrent batch execution.

@@ -25,7 +25,7 @@ from .pipeline import (
     classify_crops,
 )
 from .profiling import PhaseProfile, PhaseProfiler, PhaseStats, profiled
-from .tracking import ROITracker, Track, VideoFrameResult, VideoHiRISEPipeline
+from .tracking import ROITracker, Track
 from .report import Comparison, compare, comparison_report, format_bytes, format_energy
 from .roi import (
     ROI,
@@ -53,8 +53,6 @@ __all__ = [
     "ROI",
     "ROITracker",
     "Track",
-    "VideoFrameResult",
-    "VideoHiRISEPipeline",
     "StageCosts",
     "WORD_BITS",
     "WORDS_PER_ROI",

@@ -146,13 +146,17 @@ def _build_readout(
     noise: NoiseModel | None,
     pooling_model: AnalogPoolingModel | None,
     frame_seed: int,
+    profiler: PhaseProfiler | None,
 ) -> SensorReadout:
+    """Bind a readout chain, exposing the scene first unless it is already
+    a :class:`PixelArray` (which records no ``expose`` span)."""
     if isinstance(image_or_array, PixelArray):
         array = image_or_array
     else:
-        array = PixelArray.from_image(
-            image_or_array, noise=noise or NoiseModel.noiseless()
-        )
+        with profiled(profiler, "expose"):
+            array = PixelArray.from_image(
+                image_or_array, noise=noise or NoiseModel.noiseless()
+            )
     return SensorReadout(
         array=array,
         adc=ADCModel(bits=adc_bits, v_ref=array.vdd),
@@ -194,18 +198,18 @@ class HiRISEPipeline:
     # -- phases ------------------------------------------------------------------
     #
     # ``run()`` composes the methods below; callers that amortize work over
-    # many frames (``repro.stream``) re-enter the same code path at phase
-    # granularity: batched stage-1 readout feeds ``complete_from_stage1``,
-    # and temporal ROI reuse calls ``run_stage2_only``.
+    # many frames (``repro.stream``) expose a window at once and hand each
+    # frame's :class:`PixelArray` to ``run`` — or, under temporal ROI
+    # reuse, to ``run_stage2_only``.
 
     def build_readout(
         self, image: np.ndarray | PixelArray, frame_seed: int = 0
     ) -> SensorReadout:
         """Expose the scene and bind this pipeline's readout chain to it."""
-        with profiled(self.profiler, "expose"):
-            return _build_readout(
-                image, self.config.adc_bits, self.noise, self.pooling_model, frame_seed
-            )
+        return _build_readout(
+            image, self.config.adc_bits, self.noise, self.pooling_model,
+            frame_seed, self.profiler,
+        )
 
     def read_stage1(self, readout: SensorReadout, ledger: TransferLedger):
         """Stage-1 sensor work: pooled conversion, logged on the ledger."""
@@ -270,22 +274,27 @@ class HiRISEPipeline:
                 predictions = classify_crops(self.classifier, stage2.images)
         return stage2, predictions
 
-    def complete_from_stage1(
+    def run(
         self,
-        readout: SensorReadout,
-        stage1,
-        ledger: TransferLedger,
+        image: np.ndarray | PixelArray,
         rois: Sequence[ROI] | None = None,
+        frame_seed: int = 0,
     ) -> PipelineOutcome:
-        """Everything after the stage-1 readout: detect, feed back, stage 2.
+        """Process one exposure end to end.
 
         Args:
-            readout: the (possibly batch-produced) sensor readout whose
-                stage-1 conversion already happened.
-            stage1: the stage-1 :class:`~repro.sensor.ReadoutResult`.
-            ledger: ledger the stage-1 transfer was already logged on.
-            rois: known ROIs overriding the detector.
+            image: scene image (``(H, W, 3)`` uint8/float) or an already
+                exposed :class:`PixelArray` (bound as is, not re-exposed).
+            rois: override the stage-1 detector with known ROIs (in array
+                coordinates); required when no detector is configured.
+            frame_seed: temporal-noise seed for this exposure.
+
+        Returns:
+            :class:`PipelineOutcome`.
         """
+        readout = self.build_readout(image, frame_seed)
+        ledger = TransferLedger(link=self.link)
+        stage1 = self.read_stage1(readout, ledger)
         array = readout.array
         detections: list[object] = []
         if rois is None:
@@ -332,29 +341,6 @@ class HiRISEPipeline:
             stage2_conversions=stage2.conversions,
             peak_image_memory_bytes=peak_memory,
         )
-
-    def run(
-        self,
-        image: np.ndarray | PixelArray,
-        rois: Sequence[ROI] | None = None,
-        frame_seed: int = 0,
-    ) -> PipelineOutcome:
-        """Process one exposure end to end.
-
-        Args:
-            image: scene image (``(H, W, 3)`` uint8/float) or an existing
-                :class:`PixelArray`.
-            rois: override the stage-1 detector with known ROIs (in array
-                coordinates); required when no detector is configured.
-            frame_seed: temporal-noise seed for this exposure.
-
-        Returns:
-            :class:`PipelineOutcome`.
-        """
-        readout = self.build_readout(image, frame_seed)
-        ledger = TransferLedger(link=self.link)
-        stage1 = self.read_stage1(readout, ledger)
-        return self.complete_from_stage1(readout, stage1, ledger, rois=rois)
 
     def run_stage2_only(
         self,
@@ -452,8 +438,9 @@ class ConventionalPipeline:
         Returns:
             :class:`PipelineOutcome`.
         """
-        with profiled(self.profiler, "expose"):
-            readout = _build_readout(image, self.adc_bits, self.noise, None, frame_seed)
+        readout = _build_readout(
+            image, self.adc_bits, self.noise, None, frame_seed, self.profiler
+        )
         array = readout.array
         ledger = TransferLedger(link=self.link)
 

@@ -2,20 +2,22 @@
 
 The paper evaluates single exposures; the natural deployment is a video
 stream, where running the stage-1 detector on *every* frame wastes the
-energy HiRISE just saved.  This module implements the obvious extension:
+energy HiRISE just saved.  :class:`ROITracker` is the box bookkeeping that
+lets a stream skip it:
 
-* run stage 1 (pooled frame + detector) every ``keyframe_interval`` frames;
-* on intermediate frames, *predict* the ROIs from recent motion (constant-
+* confirm tracks against each fresh stage-1 detection set;
+* on skipped frames, *predict* the ROIs from recent motion (constant-
   velocity extrapolation of matched boxes) and inflate them by a safety
   margin, so the sensor reads slightly larger windows instead of paying for
   a full stage-1 conversion;
-* fall back to a keyframe early when tracking confidence decays (too few
-  matched boxes).
+* report its own health, so a policy can fall back to stage 1 early when
+  too few recently confirmed tracks remain.
 
 The tracker is deliberately simple — greedy IoU matching plus constant-
 velocity prediction — because its role is cost amortization, not SOTA MOT.
-:class:`VideoHiRISEPipeline` wires it around :class:`HiRISEPipeline` and
-accounts energy/transfer per frame, so the amortization is measurable.
+*When* its predictions may replace stage 1 is a reuse policy's decision
+(:mod:`repro.stream.reuse`: a fixed keyframe cadence or an IoU stability
+gate), driven per frame by :class:`repro.stream.StreamRunner`.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import HiRISEConfig
-from .pipeline import HiRISEPipeline, PipelineOutcome
 from .roi import ROI
 
 
@@ -199,89 +199,3 @@ class ROITracker:
         """True while enough recently-confirmed tracks remain."""
         fresh = [t for t in self._tracks if t.age <= self.max_age]
         return len(fresh) >= min_tracks
-
-
-@dataclass
-class VideoFrameResult:
-    """Per-frame record of the video pipeline."""
-
-    frame_index: int
-    is_keyframe: bool
-    outcome: PipelineOutcome
-
-    @property
-    def energy(self) -> float:
-        return self.outcome.energy.total
-
-    @property
-    def transfer_bytes(self) -> int:
-        return self.outcome.ledger.total_bytes
-
-
-@dataclass
-class VideoHiRISEPipeline:
-    """HiRISE over a frame sequence with keyframe-amortized stage 1.
-
-    Attributes:
-        pipeline: the single-frame HiRISE pipeline (must have a detector).
-        keyframe_interval: run stage 1 every N frames (1 = every frame).
-        tracker: the ROI tracker used between keyframes.
-        min_tracks: force an early keyframe when fewer fresh tracks remain.
-        warmup_keyframes: number of consecutive keyframes at clip start —
-            two are needed before any velocity can be estimated.
-    """
-
-    pipeline: HiRISEPipeline
-    keyframe_interval: int = 4
-    tracker: ROITracker = field(default_factory=ROITracker)
-    min_tracks: int = 1
-    warmup_keyframes: int = 2
-
-    def __post_init__(self) -> None:
-        if self.keyframe_interval < 1:
-            raise ValueError("keyframe_interval must be >= 1")
-
-    def run(
-        self,
-        frames: Sequence[np.ndarray],
-        on_frame=None,
-    ) -> list[VideoFrameResult]:
-        """Process a clip; returns per-frame results.
-
-        Keyframes run the full HiRISE two-stage flow; tracked frames skip
-        stage 1 entirely (no pooled-frame conversion, no detector) and read
-        only the predicted ROI windows.
-
-        Args:
-            frames: the clip, one image per frame.
-            on_frame: optional ``callable(frame_index)`` invoked before each
-                frame is processed — lets stateful detectors (or loggers)
-                know which frame a keyframe detection belongs to.
-        """
-        results: list[VideoFrameResult] = []
-        since_key = self.keyframe_interval  # force a keyframe at t=0
-        for idx, frame in enumerate(frames):
-            if on_frame is not None:
-                on_frame(idx)
-            need_key = (
-                idx < self.warmup_keyframes
-                or since_key >= self.keyframe_interval
-                or not self.tracker.healthy(self.min_tracks)
-            )
-            if need_key:
-                outcome = self.pipeline.run(frame, frame_seed=idx)
-                self.tracker.confirm(outcome.rois)
-                since_key = 1
-                results.append(VideoFrameResult(idx, True, outcome))
-            else:
-                predicted = self.tracker.predict()
-                outcome = self._tracked_frame(frame, predicted, idx)
-                since_key += 1
-                results.append(VideoFrameResult(idx, False, outcome))
-        return results
-
-    def _tracked_frame(
-        self, frame: np.ndarray, rois: Sequence[ROI], frame_seed: int
-    ) -> PipelineOutcome:
-        """Stage-2-only readout of predicted windows (no stage-1 cost)."""
-        return self.pipeline.run_stage2_only(frame, rois, frame_seed=frame_seed)

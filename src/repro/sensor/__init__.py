@@ -12,7 +12,6 @@ from .pixel_array import PixelArray
 from .pooling import (
     AnalogPoolingModel,
     block_reduce_mean,
-    block_reduce_mean_batch,
     digital_avg_pool,
 )
 from .readout import (
@@ -39,7 +38,6 @@ __all__ = [
     "analog_grayscale",
     "as_box",
     "block_reduce_mean",
-    "block_reduce_mean_batch",
     "clip_box",
     "digital_avg_pool",
     "digital_grayscale",

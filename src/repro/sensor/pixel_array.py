@@ -23,38 +23,32 @@ import numpy as np
 from .noise import NoiseModel
 
 
-def _scene_from_image(image: np.ndarray) -> np.ndarray:
-    """Validate and normalize one scene image to float64 in [0, 1].
+def _scene_shape(image: np.ndarray) -> tuple[int, int]:
+    """``(H, W)`` of a scene image.
 
-    Shared by the single- and batch-exposure constructors so the two paths
-    cannot drift (the batch path guarantees bit-identity with the scalar
-    one).
+    Anything but an ``(H, W, 3)`` or ``(H, W)`` array is rejected, a
+    non-array frame (such as an already exposed :class:`PixelArray`)
+    included.
     """
-    if image.ndim == 2:
-        image = np.repeat(image[:, :, None], 3, axis=2)
-    if image.ndim != 3 or image.shape[2] != 3:
+    if not isinstance(image, np.ndarray):
+        raise ValueError(
+            f"image must be (H, W, 3) or (H, W), got {type(image).__name__}"
+        )
+    if image.ndim != 2 and (image.ndim != 3 or image.shape[2] != 3):
         raise ValueError(f"image must be (H, W, 3) or (H, W), got {image.shape}")
-    if image.dtype == np.uint8:
-        return image.astype(np.float64) / 255.0
-    scene = np.asarray(image, dtype=np.float64)
-    if scene.size and (scene.min() < -1e-9 or scene.max() > 1.0 + 1e-9):
-        raise ValueError("float image values must lie in [0, 1]")
-    return scene
+    return image.shape[:2]
 
 
 def _scene_into(image: np.ndarray, out: np.ndarray) -> None:
-    """:func:`_scene_from_image`, but writing into a preallocated frame slot.
+    """Normalize one scene image to float64 in [0, 1], written into ``out``.
 
-    ``out`` is one ``(H, W, 3)`` float64 slice of a reusable exposure-stack
-    buffer.  Every operation is the same float64 arithmetic as the copying
-    path (uint8 values convert to float64 before the divide, float inputs
-    cast exactly), so the written values are bit-identical to what
-    :func:`_scene_from_image` returns — only the allocation is gone.
+    ``out`` is one ``(H, W, 3)`` float64 slot of an exposure stack and
+    ``image`` has passed :func:`_scene_shape`.  uint8 values convert to
+    float64 before the divide by 255; float inputs cast exactly and must
+    already lie in [0, 1]; a 2-D image broadcasts across the channels.
     """
     if image.ndim == 2:
-        image = image[:, :, None]  # broadcasts across the 3 channels below
-    elif image.ndim != 3 or image.shape[2] != 3:
-        raise ValueError(f"image must be (H, W, 3) or (H, W), got {image.shape}")
+        image = image[:, :, None]
     if image.dtype == np.uint8:
         np.divide(image, 255.0, out=out)
         return
@@ -96,11 +90,11 @@ class PixelArray:
         vdd: float = 1.0,
         noise: NoiseModel | None = None,
     ) -> "PixelArray":
-        """Expose the array to a scene image.
+        """Expose the array to a scene image (a batch of one).
 
         Args:
-            image: ``(H, W, 3)`` array; uint8 images are scaled by 1/255,
-                float images must already be in [0, 1].
+            image: ``(H, W, 3)`` or ``(H, W)`` array; uint8 images are
+                scaled by 1/255, float images must already be in [0, 1].
             vdd: full-scale voltage.
             noise: noise model; fixed-pattern (PRNU gain / DSNU offset)
                 deviations are baked into the stored voltages here, because
@@ -109,14 +103,7 @@ class PixelArray:
         Returns:
             A new :class:`PixelArray`.
         """
-        scene = _scene_from_image(image)
-        noise = noise or NoiseModel.noiseless()
-        voltages = scene * vdd
-        if not noise.is_noiseless():
-            gain, offset = noise.fixed_pattern_maps(voltages.shape)
-            voltages = voltages * gain + offset
-        voltages = np.clip(voltages, 0.0, vdd)
-        return cls(voltages=voltages, vdd=vdd, noise=noise)
+        return cls.from_image_batch([image], vdd=vdd, noise=noise)[0]
 
     @classmethod
     def from_image_batch(
@@ -130,57 +117,47 @@ class PixelArray:
 
         The fixed-pattern maps depend only on the noise seed and the frame
         shape, so they are computed once and broadcast across the stack; all
-        other operations are elementwise.  The result is bit-identical to
-        calling :meth:`from_image` once per frame.
+        other operations are elementwise, so every frame's voltages are the
+        same whatever the batch it is exposed in.
 
         Args:
             images: scene images, all of the same spatial size.
             vdd: full-scale voltage.
             noise: shared noise model (one sensor sees every frame).
             out: optional preallocated ``(N, H, W, 3)`` float64 exposure
-                buffer (the stream runner's windowed mode reuses one across
-                flushes).  The scenes are written straight into it instead
-                of allocating a new stack, so the returned arrays are views
-                into ``out`` — the caller owns its lifetime and must not
+                buffer (the stream runner reuses one across flushes).  The
+                scenes are written straight into it instead of a new
+                stack, so the caller owns its lifetime and must not
                 overwrite it while any returned :class:`PixelArray` is in
-                use.  Values are bit-identical to the allocating path.
+                use.
 
         Returns:
-            One :class:`PixelArray` per input frame.
+            One :class:`PixelArray` per input frame, each a view into one
+            ``(N, H, W, 3)`` block.
         """
         if not len(images):
             return []
         noise = noise or NoiseModel.noiseless()
+        shapes = {_scene_shape(image) for image in images}
+        if len(shapes) > 1:
+            raise ValueError("all frames in a batch must share one resolution")
+        ((h, w),) = shapes
         if out is None:
-            scenes = [_scene_from_image(image) for image in images]
-            if len({s.shape for s in scenes}) > 1:
-                raise ValueError("all frames in a batch must share one resolution")
-            voltages = np.stack(scenes)
-        else:
-            shapes = {image.shape[:2] for image in images}
-            if len(shapes) > 1:
-                raise ValueError("all frames in a batch must share one resolution")
-            (h, w) = next(iter(shapes))
-            if (
-                out.shape != (len(images), h, w, 3)
-                or out.dtype != np.float64
-            ):
-                raise ValueError(
-                    f"out: expected a ({len(images)}, {h}, {w}, 3) float64 "
-                    f"buffer, got shape {out.shape} dtype {out.dtype}"
-                )
-            for image, slot in zip(images, out):
-                _scene_into(image, slot)
-            voltages = out
-        voltages *= vdd
+            out = np.empty((len(images), h, w, 3))
+        elif out.shape != (len(images), h, w, 3) or out.dtype != np.float64:
+            raise ValueError(
+                f"out: expected a ({len(images)}, {h}, {w}, 3) float64 "
+                f"buffer, got shape {out.shape} dtype {out.dtype}"
+            )
+        for image, slot in zip(images, out):
+            _scene_into(image, slot)
+        out *= vdd
         if not noise.is_noiseless():
-            gain, offset = noise.fixed_pattern_maps(voltages.shape[1:])
-            voltages *= gain
-            voltages += offset
-        np.clip(voltages, 0.0, vdd, out=voltages)
-        # Per-frame arrays are views into one (N, H, W, 3) block, so batch
-        # consumers (BatchSensorReadout) can recover the stack copy-free.
-        return [cls(voltages=v, vdd=vdd, noise=noise) for v in voltages]
+            gain, offset = noise.fixed_pattern_maps(out.shape[1:])
+            out *= gain
+            out += offset
+        np.clip(out, 0.0, vdd, out=out)
+        return [cls(voltages=v, vdd=vdd, noise=noise) for v in out]
 
     # -- geometry -----------------------------------------------------------------
 

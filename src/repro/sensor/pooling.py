@@ -19,6 +19,7 @@ paper compares against in Table 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,32 +44,31 @@ def block_reduce_mean(values: np.ndarray, k: int) -> np.ndarray:
     Returns:
         ``(H // k, W // k[, C])`` array of block means.
     """
-    return block_reduce_mean_batch(values[None], k)[0]
+    _check_pool_args(values.shape[0], values.shape[1], k)
+    h = (values.shape[0] // k) * k
+    w = (values.shape[1] // k) * k
+    blocks = values[:h, :w].reshape(h // k, k, w // k, k, *values.shape[2:])
+    return blocks.mean(axis=(1, 3))
 
 
-def block_reduce_mean_batch(values: np.ndarray, k: int) -> np.ndarray:
-    """Batched :func:`block_reduce_mean` over a leading frame axis.
+@lru_cache(maxsize=32)
+def _mismatch_maps(
+    model: "AnalogPoolingModel", site_shape: tuple[int, ...], vdd: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-site ``(gain_map, offset_map)`` of one pooling circuit, memoized.
 
-    One reshape + reduction covers every frame; per output element the
-    summation order matches the single-frame path exactly, so the result is
-    bit-identical to calling :func:`block_reduce_mean` per frame.
-
-    Args:
-        values: ``(N, H, W)`` or ``(N, H, W, C)`` array.
-        k: block size.
-
-    Returns:
-        ``(N, H // k, W // k[, C])`` array of block means.
+    The fixed pattern depends only on the (frozen, hashable) model, the
+    pool-site grid and ``vdd``, and every frame of a stream is pooled on
+    the same silicon, so the maps are drawn once per key instead of once
+    per frame.  Cached arrays are shared across calls, so they are marked
+    read-only; the LRU keeps the footprint bounded.
     """
-    _check_pool_args(values.shape[1], values.shape[2], k)
-    n = values.shape[0]
-    h = (values.shape[1] // k) * k
-    w = (values.shape[2] // k) * k
-    cropped = values[:, :h, :w]
-    if cropped.ndim == 3:
-        return cropped.reshape(n, h // k, k, w // k, k).mean(axis=(2, 4))
-    c = cropped.shape[3]
-    return cropped.reshape(n, h // k, k, w // k, k, c).mean(axis=(2, 4))
+    rng = np.random.default_rng(model.seed)
+    gain_map = 1.0 + model.gain_error_sigma * rng.standard_normal(site_shape)
+    offset_map = model.offset_error_sigma_per_vdd * vdd * rng.standard_normal(site_shape)
+    for table in (gain_map, offset_map):
+        table.setflags(write=False)
+    return gain_map, offset_map
 
 
 @dataclass(frozen=True)
@@ -142,50 +142,7 @@ class AnalogPoolingModel:
             merged = block_reduce_mean(voltages.mean(axis=2), k)
         else:
             merged = block_reduce_mean(voltages, k)
-        return self._calibrated_shared_node(merged, vdd, site_shape=merged.shape)
 
-    def pool_batch(
-        self,
-        voltages: np.ndarray,
-        k: int,
-        vdd: float,
-        grayscale: bool = False,
-    ) -> np.ndarray:
-        """Analog-average a stack of frames in one vectorized pass.
-
-        Bit-identical to calling :meth:`pool` on each frame: the block means
-        reduce in the same order, and the per-site mismatch maps are drawn at
-        the *per-frame* site shape (the circuit is the same silicon for every
-        exposure) and broadcast across the frame axis.
-
-        Args:
-            voltages: ``(N, H, W, 3)`` analog voltages for N exposures.
-            k: pooling size.
-            vdd: full-scale voltage.
-            grayscale: merge the three channels into the pool as well.
-
-        Returns:
-            ``(N, H//k, W//k)`` if grayscale else ``(N, H//k, W//k, 3)``.
-        """
-        if voltages.ndim != 4 or voltages.shape[3] != 3:
-            raise ValueError(f"expected (N, H, W, 3), got {voltages.shape}")
-        _check_pool_args(voltages.shape[1], voltages.shape[2], k)
-
-        if grayscale:
-            merged = block_reduce_mean_batch(voltages.mean(axis=3), k)
-        else:
-            merged = block_reduce_mean_batch(voltages, k)
-        return self._calibrated_shared_node(merged, vdd, site_shape=merged.shape[1:])
-
-    def _calibrated_shared_node(
-        self, merged: np.ndarray, vdd: float, site_shape: tuple[int, ...]
-    ) -> np.ndarray:
-        """Shared-node voltage -> calibrated output, for one or many frames.
-
-        ``site_shape`` is the physical pool-site grid: the mismatch maps are
-        drawn at that shape so a batch reuses the same fixed pattern as every
-        individual frame.
-        """
         # Residual nonlinearity applied to the normalized mean before the
         # affine map.
         normalized = np.clip(merged / vdd, 0.0, 1.0)
@@ -195,13 +152,7 @@ class AnalogPoolingModel:
 
         # Per-site mismatch (fixed pattern: depends only on seed and shape).
         if self.gain_error_sigma or self.offset_error_sigma_per_vdd:
-            rng = np.random.default_rng(self.seed)
-            gain_map = 1.0 + self.gain_error_sigma * rng.standard_normal(site_shape)
-            offset_map = (
-                self.offset_error_sigma_per_vdd
-                * vdd
-                * rng.standard_normal(site_shape)
-            )
+            gain_map, offset_map = _mismatch_maps(self, merged.shape, vdd)
             shared = shared * gain_map + offset_map
 
         # Readout calibration: invert the *nominal* affine map.

@@ -169,17 +169,7 @@ class SensorReadout:
         pooled_v = self.pooling.pool(
             self.array.voltages, k, self.array.vdd, grayscale=grayscale
         )
-        return self.digitize_pooled(pooled_v)
-
-    def digitize_pooled(self, pooled_voltages: np.ndarray) -> ReadoutResult:
-        """Convert an externally-pooled frame through this readout's chain.
-
-        This is the digitization half of :meth:`read_compressed` — it draws
-        the same temporal-noise/ADC random stream and advances the readout
-        counter identically, so batched pooling (see
-        :class:`BatchSensorReadout`) stays bit-identical to the scalar path.
-        """
-        image, n = self._digitize(pooled_voltages)
+        image, n = self._digitize(pooled_v)
         return ReadoutResult(
             images=image,
             conversions=n,
@@ -231,33 +221,24 @@ class SensorReadout:
 
 @dataclass
 class BatchSensorReadout:
-    """Vectorized stage-1 readout over a stack of same-size exposures.
+    """Per-frame readout chains over a stack of same-size exposures.
 
     Video streams expose one frame after another onto the *same* silicon:
-    the fixed-pattern maps, pooling mismatch, and ADC are shared, and only
+    the fixed-pattern maps, pooling circuit and ADC are shared, and only
     the scene and the temporal-noise stream differ per frame.  That makes
-    the stage-1 heavy lifting — exposure scaling and k x k analog pooling
-    over the full-resolution array — a single NumPy pass over an
-    ``(N, H, W, 3)`` stack instead of a Python loop.
+    exposure — scaling and fixed-pattern application over the
+    full-resolution array — a single NumPy pass over an ``(N, H, W, 3)``
+    stack instead of a Python loop.
 
-    Per-frame digitization still draws each frame's own random stream (the
-    part that *must* differ per exposure), so every returned
-    :class:`ReadoutResult` is bit-identical to what
-    ``SensorReadout(array_i, ..., frame_seed=seed_i).read_compressed(...)``
-    would produce, and the per-frame :class:`SensorReadout` objects remain
-    available for the stage-2 ROI reads.
+    Conversion stays per frame, on each frame's own random stream, so a
+    frame that is never pooled costs no pooling: every readout here is
+    exactly ``SensorReadout(array_i, ..., frame_seed=seed_i)``.
 
     Attributes:
-        readouts: one scalar readout per frame (must share one pooling
-            model and full-scale voltage; :meth:`from_images` guarantees
-            it).
+        readouts: one scalar readout per frame.
     """
 
     readouts: list[SensorReadout]
-    #: The frames' (N, H, W, 3) voltage block when the readouts were built
-    #: from one batch exposure; None for hand-assembled instances, which
-    #: fall back to stacking (one copy) at read time.
-    _stack: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_images(
@@ -281,12 +262,11 @@ class BatchSensorReadout:
             vdd: full-scale voltage.
             out: optional preallocated ``(N, H, W, 3)`` float64 exposure
                 buffer (see :meth:`PixelArray.from_image_batch`); the
-                windowed stream runner reuses one across flushes so a
-                steady-state stream exposes with zero per-window
-                allocation.
+                stream runner reuses one across flushes so a steady-state
+                stream exposes with zero per-window allocation.
         """
         arrays = PixelArray.from_image_batch(
-            frames, vdd=vdd, noise=noise or NoiseModel.noiseless(), out=out
+            frames, vdd=vdd, noise=noise, out=out
         )
         if frame_seeds is None:
             frame_seeds = range(len(arrays))
@@ -296,60 +276,22 @@ class BatchSensorReadout:
                 f"{len(seeds)} frame seeds for {len(arrays)} frames"
             )
         pooling = pooling or AnalogPoolingModel()
-        readouts = [
-            SensorReadout(
-                array=array,
-                adc=ADCModel(bits=adc_bits, v_ref=array.vdd),
-                pooling=pooling,
-                frame_seed=seed,
-            )
-            for array, seed in zip(arrays, seeds)
-        ]
-        # from_image_batch exposes every frame as a view into one block;
-        # keep that block so read_compressed never has to re-stack.  A
-        # caller-owned buffer may be larger than the batch (a partial
-        # window), so it is passed through directly instead of recovered
-        # via .base.
-        if out is not None:
-            stack = out if arrays else None
-        else:
-            stack = arrays[0].voltages.base if arrays else None
-            if stack is not None and stack.shape != (
-                len(arrays),
-                *arrays[0].voltages.shape,
-            ):
-                stack = None
-        return cls(readouts=readouts, _stack=stack)
+        return cls(
+            readouts=[
+                SensorReadout(
+                    array=array,
+                    adc=ADCModel(bits=adc_bits, v_ref=array.vdd),
+                    pooling=pooling,
+                    frame_seed=seed,
+                )
+                for array, seed in zip(arrays, seeds)
+            ]
+        )
 
     def __len__(self) -> int:
         return len(self.readouts)
 
     def read_compressed(self, k: int, grayscale: bool = False) -> list[ReadoutResult]:
-        """Stage 1 for every frame: one vectorized pooling pass, then
-        per-frame digitization on each frame's own random stream.
-
-        Returns:
-            Per-frame :class:`ReadoutResult` objects, bit-identical to the
-            scalar :meth:`SensorReadout.read_compressed` loop.
-        """
-        if not self.readouts:
-            return []
-        first = self.readouts[0]
-        if any(
-            r.pooling is not first.pooling or r.array.vdd != first.array.vdd
-            for r in self.readouts
-        ):
-            raise ValueError(
-                "batched stage-1 needs one shared pooling model and vdd "
-                "across all frames (they model the same silicon)"
-            )
-        stack = self._stack
-        if stack is None:
-            stack = np.stack([r.array.voltages for r in self.readouts])
-        pooled = first.pooling.pool_batch(
-            stack, k, first.array.vdd, grayscale=grayscale
-        )
-        return [
-            readout.digitize_pooled(pooled_v)
-            for readout, pooled_v in zip(self.readouts, pooled)
-        ]
+        """Stage 1 for every frame: :meth:`SensorReadout.read_compressed`
+        on each readout in turn."""
+        return [r.read_compressed(k, grayscale=grayscale) for r in self.readouts]

@@ -26,7 +26,7 @@ from ..datasets.profiles import (
 )
 from ..datasets.scene import SceneGenerator
 from ..ml import CropClassifier, GridDetector, GridDetectorConfig, tiny_cnn, to_gray
-from ..stream.reuse import TemporalROIReuse
+from ..stream.reuse import KeyframeReuse, TemporalROIReuse
 from ..stream.source import (
     SyntheticClip,
     drone_traffic_clip,
@@ -240,3 +240,9 @@ def _no_policy(**params):
 def _temporal_reuse(**params) -> TemporalROIReuse:
     """IoU-gated stage-1 skipping; params mirror TemporalROIReuse's knobs."""
     return TemporalROIReuse(**params)
+
+
+@register_policy("keyframe")
+def _keyframe(**params) -> KeyframeReuse:
+    """Fixed-cadence stage 1; params mirror KeyframeReuse's knobs."""
+    return KeyframeReuse(**params)

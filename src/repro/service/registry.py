@@ -14,7 +14,7 @@ Factory contracts (enforced by convention, documented per registry):
   — the optional ``on_frame`` callback is wired into the stream runner so
   stateful detectors can follow the frame index;
 * **classifier**: ``factory(**params) -> callable | None``;
-* **policy**: ``factory(**params) -> TemporalROIReuse | None``.
+* **policy**: ``factory(**params) -> TemporalROIReuse | KeyframeReuse | None``.
 """
 
 from __future__ import annotations

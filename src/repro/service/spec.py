@@ -132,12 +132,12 @@ class ScenarioSpec:
         frame_seeds: explicit per-frame temporal-noise seeds; ``None``
             defaults to the frame index (the stream runner's contract).
         policy: reuse policy slot (``POLICIES`` registry); "none" runs
-            stage 1 on every frame.
+            stage 1 on every frame, "temporal-reuse" and "keyframe" skip
+            it on the frames they grant.
         keep_outcomes: retain full per-frame outcomes on the result
             (costs memory; needed for bit-identity audits).
-        window: stage-1 frames vectorized per NumPy pass (HiRISE only).
-            ``window=1`` is the per-frame reference loop; any window is
-            bit-identical to it.  Composes with a reuse policy.
+        window: frames exposed per NumPy pass (HiRISE only); any window is
+            bit-identical to ``window=1``.  Composes with a reuse policy.
     """
 
     name: str = ""

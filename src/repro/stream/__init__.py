@@ -4,9 +4,11 @@ The paper evaluates single exposures; deployments watch video.  This
 package scales the single-frame pipelines to streams along three axes:
 
 * :class:`StreamRunner` — drives a pipeline over any frame iterable with
-  per-frame seeds, in per-frame, batched, or ROI-reuse mode;
-* :class:`TemporalROIReuse` — an IoU-gated policy that skips the pooled
-  readout *and* the stage-1 detector on temporally-stable frames;
+  per-frame seeds, exposing ``window`` frames per pass, with optional ROI
+  reuse;
+* :class:`TemporalROIReuse` / :class:`KeyframeReuse` — reuse policies
+  that skip the pooled readout *and* the stage-1 detector on temporally
+  stable frames (IoU-gated) or between keyframes (fixed cadence);
 * :class:`StreamOutcome` / :class:`FrameStats` — the cumulative ledger:
   transfer, energy, conversions, memory, and throughput across the stream;
 * :mod:`repro.stream.source` — synthetic pedestrian/drone clips with ground
@@ -14,7 +16,7 @@ package scales the single-frame pipelines to streams along three axes:
 """
 
 from .ledger import FrameStats, StreamOutcome
-from .reuse import ReuseDecision, TemporalROIReuse, rois_stable
+from .reuse import KeyframeReuse, ReuseDecision, TemporalROIReuse, rois_stable
 from .runner import StreamRunner
 from .source import (
     Actor,
@@ -27,6 +29,7 @@ from .source import (
 __all__ = [
     "Actor",
     "FrameStats",
+    "KeyframeReuse",
     "ReuseDecision",
     "StreamOutcome",
     "StreamRunner",

@@ -1,21 +1,24 @@
-"""Temporal ROI reuse: skipping stage 1 entirely on confident frames.
+"""Reuse policies: skipping stage 1 on frames whose ROIs can be predicted.
 
-:class:`repro.core.tracking.VideoHiRISEPipeline` amortizes stage 1 on a
-fixed keyframe cadence.  This module makes the decision *adaptive*: stage 1
-is skipped only while the scene has proven itself temporally stable — the
-last two stage-1 results matched each other box-for-box above an IoU gate —
-and is re-run the moment stability is lost or a reuse budget is exhausted.
+On a reused frame the sensor never converts the pooled frame and the
+processor never runs the stage-1 detector, so the frame costs only the
+descriptor feedback plus the ROI pixels — a saving the paper only hints at.
+Two policies decide which frames qualify, on one ``propose``/``observe``/
+``reset`` protocol driven by :class:`repro.stream.StreamRunner`:
 
-The payoff is a saving the paper only hints at: on a reused frame the sensor
-never converts the pooled frame and the processor never runs the stage-1
-detector, so the frame costs only the descriptor feedback plus the ROI
-pixels.  The risk is bounded by three knobs: the stability gate
-(``stability_iou``), the consecutive-reuse budget (``max_reuse``), and the
-tracker's own health check (``min_tracks``).
+* :class:`KeyframeReuse` — a fixed cadence: stage 1 every ``interval``
+  frames, tracked windows in between;
+* :class:`TemporalROIReuse` — adaptive: stage 1 is skipped only while the
+  scene has proven itself temporally stable (the last two stage-1 results
+  matched box-for-box above an IoU gate), and re-run the moment stability
+  is lost or a reuse budget is exhausted.  The risk is bounded by three
+  knobs: the stability gate (``stability_iou``), the consecutive-reuse
+  budget (``max_reuse``), and the tracker's own health check
+  (``min_tracks``).
 
 The box bookkeeping (matching, velocities, window inflation) is delegated
-to :class:`repro.core.tracking.ROITracker`; this module adds only the
-*policy* of when its predictions may replace a stage-1 run.
+to :class:`repro.core.tracking.ROITracker`; the policies add only *when*
+its predictions may replace a stage-1 run.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ class ReuseDecision:
 
     Attributes:
         reuse: when True, process the frame with ``rois`` and no stage 1.
-        reason: why — "stable" on reuse; "warmup", "unstable",
-            "revalidate", "lost-tracks" or "no-tracks" when stage 1 must run.
+        reason: why — "stable" or "tracked" on reuse; "warmup",
+            "unstable", "revalidate", "keyframe", "lost-tracks" or
+            "no-tracks" when stage 1 must run.
         rois: predicted readout windows (non-empty only when ``reuse``).
     """
 
@@ -79,9 +83,9 @@ class TemporalROIReuse:
     used — it advances the tracker's motion state by one frame.
 
     Attributes:
-        tracker: box matcher/predictor shared with the keyframe machinery.
+        tracker: box matcher/predictor shared with :class:`KeyframeReuse`.
             The default inflates predicted windows by only 3% per side per
-            frame — far less than the keyframe pipeline's 8% — because this
+            frame — far less than the keyframe policy's 8% — because this
             policy only ever reuses ROIs it has just proven stable and
             revalidates within ``max_reuse`` frames, so the prediction
             horizon (and therefore the needed safety margin) is short.
@@ -180,3 +184,59 @@ class TemporalROIReuse:
             t.roi for t in self.tracker.tracks if t.age == fresh_age
         ]
         return ReuseDecision(True, "stable", rois)
+
+
+@dataclass
+class KeyframeReuse:
+    """Fixed-cadence policy: stage 1 every ``interval`` frames.
+
+    The first ``warmup`` frames run stage 1; after that a keyframe runs
+    ``interval`` frames after the previous one, and the frames in between
+    read only the tracker's predicted windows — unless fewer than
+    ``min_tracks`` fresh tracks remain, which forces an early keyframe.
+    Same protocol as :class:`TemporalROIReuse`.
+
+    Attributes:
+        interval: run stage 1 every N frames (1 = every frame).
+        tracker: the ROI tracker used between keyframes.
+        min_tracks: force an early keyframe when fewer fresh tracks remain.
+        warmup: consecutive keyframes at clip start (>= 1: the first frame
+            has nothing to track; two are needed before any velocity can be
+            estimated).
+    """
+
+    interval: int = 4
+    tracker: ROITracker = field(default_factory=ROITracker)
+    min_tracks: int = 1
+    warmup: int = 2
+    _confirmations: int = field(default=0, init=False, repr=False)
+    _since_key: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.interval < 1:
+            raise ValueError("interval must be >= 1")
+        if self.warmup < 1:
+            raise ValueError("warmup must be >= 1 (the first frame has nothing to track)")
+
+    def reset(self) -> None:
+        """Forget everything (stream boundary): tracks, cadence, warmup."""
+        self.tracker.reset()
+        self._confirmations = 0
+        self._since_key = 0
+
+    def observe(self, rois: Sequence[ROI]) -> None:
+        """Record a keyframe's stage-1 result."""
+        self.tracker.confirm(rois)
+        self._confirmations += 1
+        self._since_key = 1
+
+    def propose(self) -> ReuseDecision:
+        """Decide the upcoming frame; advances the tracker when reusing."""
+        if self._confirmations < self.warmup:
+            return ReuseDecision(False, "warmup")
+        if self._since_key >= self.interval:
+            return ReuseDecision(False, "keyframe")
+        if not self.tracker.healthy(self.min_tracks):
+            return ReuseDecision(False, "lost-tracks")
+        self._since_key += 1
+        return ReuseDecision(True, "tracked", self.tracker.predict())

@@ -1,17 +1,12 @@
-"""Tests for the video extension (ROI tracking) and the timing model."""
+"""Tests for the video extension (ROI tracking, keyframe cadence) and the
+timing model."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    HiRISEConfig,
-    HiRISEPipeline,
-    ROI,
-    ROITracker,
-    Track,
-    VideoHiRISEPipeline,
-)
+from repro.core import HiRISEConfig, HiRISEPipeline, ROI, ROITracker, Track
 from repro.sensor import ReadoutTimingModel
+from repro.stream import KeyframeReuse, StreamRunner
 
 
 class TestTrack:
@@ -92,38 +87,40 @@ class TestVideoPipeline:
 
         return detect
 
-    def test_keyframe_cadence(self, moving_clip, detector):
+    @staticmethod
+    def run_clip(frames, detector, interval):
+        """The clip through the stream runner under a keyframe cadence."""
         pipeline = HiRISEPipeline(detector=detector, config=HiRISEConfig(pool_k=2))
-        video = VideoHiRISEPipeline(pipeline, keyframe_interval=4)
-        results = video.run(moving_clip)
-        keyframes = [r.frame_index for r in results if r.is_keyframe]
+        runner = StreamRunner(
+            pipeline, reuse=KeyframeReuse(interval=interval), keep_outcomes=True
+        )
+        return runner.run(frames)
+
+    def test_keyframe_cadence(self, moving_clip, detector):
+        stream = self.run_clip(moving_clip, detector, interval=4)
+        keyframes = [f.frame_index for f in stream.frames if f.ran_stage1]
         # Two warm-up keyframes (velocity needs two observations), then
         # one keyframe every 4 frames.
         assert keyframes == [0, 1, 5]
 
     def test_tracked_frames_cost_less(self, moving_clip, detector):
-        pipeline = HiRISEPipeline(detector=detector, config=HiRISEConfig(pool_k=2))
-        video = VideoHiRISEPipeline(pipeline, keyframe_interval=4)
-        results = video.run(moving_clip)
-        key_cost = np.mean([r.energy for r in results if r.is_keyframe])
-        tracked_cost = np.mean([r.energy for r in results if not r.is_keyframe])
+        stream = self.run_clip(moving_clip, detector, interval=4)
+        key_cost = np.mean([f.energy_j for f in stream.frames if f.ran_stage1])
+        tracked_cost = np.mean([f.energy_j for f in stream.frames if not f.ran_stage1])
         assert tracked_cost < key_cost / 2
 
     def test_tracked_rois_still_cover_object(self, moving_clip, detector):
-        pipeline = HiRISEPipeline(detector=detector, config=HiRISEConfig(pool_k=2))
-        video = VideoHiRISEPipeline(pipeline, keyframe_interval=4)
-        results = video.run(moving_clip)
-        for t, result in enumerate(results):
-            assert result.outcome.rois, f"no ROI at frame {t}"
+        stream = self.run_clip(moving_clip, detector, interval=4)
+        for t, outcome in enumerate(stream.outcomes):
+            assert outcome.rois, f"no ROI at frame {t}"
             x = 10 + 8 * t
             gt = ROI(x, 30, 24, 24)
-            best = max(r.iou(gt) for r in result.outcome.rois)
+            best = max(r.iou(gt) for r in outcome.rois)
             assert best > 0.3, f"frame {t}: best IoU {best:.2f}"
 
-    def test_interval_validation(self, detector):
-        pipeline = HiRISEPipeline(detector=detector)
+    def test_interval_validation(self):
         with pytest.raises(ValueError):
-            VideoHiRISEPipeline(pipeline, keyframe_interval=0)
+            KeyframeReuse(interval=0)
 
 
 class TestReadoutTimingModel:

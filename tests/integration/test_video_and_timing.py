@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import HiRISEConfig, HiRISEPipeline, ROI, VideoHiRISEPipeline
+from repro.core import HiRISEConfig, HiRISEPipeline, ROI
 from repro.datasets.shapes import draw_person
 from repro.datasets.textures import colorize, value_noise
 from repro.ml import Detection
 from repro.sensor import ReadoutTimingModel
+from repro.stream import KeyframeReuse, StreamRunner
 
 
 @pytest.fixture(scope="module")
@@ -42,43 +43,39 @@ def gt_detector(gt, state):
     return detect
 
 
+def run_keyframes(frames, gt, interval):
+    """The clip through the stream runner under a keyframe cadence."""
+    state = {"t": 0}
+    pipeline = HiRISEPipeline(
+        detector=gt_detector(gt, state),
+        config=HiRISEConfig(pool_k=2, max_rois=4),
+    )
+    runner = StreamRunner(
+        pipeline, reuse=KeyframeReuse(interval=interval), keep_outcomes=True
+    )
+    return runner.run(frames, on_frame=lambda i: state.update(t=i))
+
+
 class TestVideoOnScenes:
     def test_amortized_clip_cheaper_than_per_frame(self, walking_clip):
         frames, gt = walking_clip
-
-        def run(interval):
-            state = {"t": 0}
-            pipeline = HiRISEPipeline(
-                detector=gt_detector(gt, state),
-                config=HiRISEConfig(pool_k=2, max_rois=4),
-            )
-            video = VideoHiRISEPipeline(pipeline, keyframe_interval=interval)
-            results = video.run(frames, on_frame=lambda i: state.update(t=i))
-            return sum(r.energy for r in results)
-
-        every_frame = run(1)
-        amortized = run(3)
+        every_frame = run_keyframes(frames, gt, 1).total_energy_j
+        amortized = run_keyframes(frames, gt, 3).total_energy_j
         assert amortized < every_frame
 
     def test_tracked_windows_follow_pedestrians(self, walking_clip):
         frames, gt = walking_clip
-        state = {"t": 0}
-        pipeline = HiRISEPipeline(
-            detector=gt_detector(gt, state),
-            config=HiRISEConfig(pool_k=2, max_rois=4),
-        )
-        video = VideoHiRISEPipeline(pipeline, keyframe_interval=3)
-        results = video.run(frames, on_frame=lambda i: state.update(t=i))
-        for r in results:
+        stream = run_keyframes(frames, gt, 3)
+        for stats, outcome in zip(stream.frames, stream.outcomes):
             truth = [ROI(int(x), int(y), max(int(w), 1), max(int(h), 1))
-                     for x, y, w, h in gt[r.frame_index]]
+                     for x, y, w, h in gt[stats.frame_index]]
             for t_box in truth:
                 clipped = t_box.clip(320, 240)
                 if clipped is None:
                     continue
-                best = max((roi.iou(clipped) for roi in r.outcome.rois), default=0.0)
+                best = max((roi.iou(clipped) for roi in outcome.rois), default=0.0)
                 assert best > 0.25, (
-                    f"frame {r.frame_index}: pedestrian lost (IoU {best:.2f})"
+                    f"frame {stats.frame_index}: pedestrian lost (IoU {best:.2f})"
                 )
 
 

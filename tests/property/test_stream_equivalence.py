@@ -1,11 +1,14 @@
-"""The windowed-streaming bit-identity contract, stated once as a property.
+"""The stream bit-identity contract, stated once as a property.
 
-Every performance mode the stream runner has grown — windowed stage-1
-(``window > 1``), temporal ROI reuse, their composition, batch executors —
+Every performance mode the stream runner has grown — windowed exposure
+(``window > 1``), reuse policies, their composition, batch executors —
 carries the same promise: the :class:`~repro.stream.StreamOutcome` is
-**exactly equal** to the one the per-frame reference loop (``window=1``,
-serial) produces.  Prior PRs asserted that promise as scattered point
-checks; this suite states it as a property and sweeps the whole grid:
+**exactly equal** to the one an independent per-frame loop produces: one
+:meth:`HiRISEPipeline.run` (or, when the policy grants reuse,
+:meth:`HiRISEPipeline.run_stage2_only`) per raw frame, driving the policy's
+``propose``/``observe`` by hand, with no runner, window or exposure buffer
+involved.  This suite states that promise as a property and sweeps the
+whole grid:
 
     (window size x reuse policy x source x seed x executor)
 
@@ -13,9 +16,8 @@ Equality is exact — frozen-dataclass ``FrameStats`` rows compare field by
 field, kept :class:`PipelineOutcome`\\ s compare array by array with
 ``np.array_equal`` — never tolerance-based.  Noise is enabled throughout
 so the per-frame temporal-noise seeds are observable: any mode that
-perturbed a frame's random stream (e.g. by drawing ROI noise from a
-readout whose counter a speculative window pass already advanced) fails
-loudly here.
+perturbed a frame's random stream (e.g. by pooling a frame the policy
+then reused, advancing its readout counter) fails loudly here.
 """
 
 from functools import lru_cache
@@ -27,6 +29,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core import HiRISEConfig, HiRISEPipeline
 from repro.sensor import NoiseModel
 from repro.service import (
+    DETECTORS,
+    POLICIES,
+    SOURCES,
     ComponentRef,
     Engine,
     EngineCache,
@@ -34,6 +39,9 @@ from repro.service import (
     SystemSpec,
 )
 from repro.stream import (
+    FrameStats,
+    KeyframeReuse,
+    StreamOutcome,
     StreamRunner,
     TemporalROIReuse,
     ground_truth_detector,
@@ -62,7 +70,46 @@ def assert_streams_equal(got, oracle) -> None:
         assert a.ledger.total_bytes == b.ledger.total_bytes
 
 
+def oracle_stream(pipeline, policy, frames, frame_seeds=None, on_frame=None):
+    """The per-frame reference: a plain loop over the pipeline's two calls."""
+    if policy is not None:
+        policy.reset()
+    stream = StreamOutcome(system="hirise")
+    seeds = range(len(frames)) if frame_seeds is None else frame_seeds
+    for idx, (frame, seed) in enumerate(zip(frames, seeds, strict=True)):
+        if on_frame is not None:
+            on_frame(idx)
+        decision = None if policy is None else policy.propose()
+        if decision is not None and decision.reuse:
+            result = pipeline.run_stage2_only(frame, decision.rois, frame_seed=seed)
+            stats = FrameStats.from_outcome(
+                idx, result, ran_stage1=False, reused_rois=True,
+                reason=decision.reason,
+            )
+        else:
+            result = pipeline.run(frame, frame_seed=seed)
+            if policy is not None:
+                policy.observe(result.rois)
+            stats = FrameStats.from_outcome(
+                idx, result, ran_stage1=True,
+                reason="" if decision is None else decision.reason,
+            )
+        stream.append(stats, result)
+    return stream
+
+
 # -- runner level: hypothesis drives the (window, policy, clip, seeds) grid --------
+
+POLICY_NAMES = ("none", "temporal", "keyframe")
+
+
+def _policy(name: str):
+    # interval=3 lets keyframe grants fire on clips as short as four frames.
+    return {
+        "none": None,
+        "temporal": TemporalROIReuse(),
+        "keyframe": KeyframeReuse(interval=3),
+    }[name]
 
 
 @lru_cache(maxsize=16)
@@ -75,72 +122,77 @@ def _clip(n_frames: int, seed: int, speed: float = 2.0):
     )
 
 
-def _run(clip, *, window: int, reuse: bool, frame_seeds) -> object:
+def _pipeline(clip):
     detect, on_frame = ground_truth_detector(clip)
     pipeline = HiRISEPipeline(
         detector=detect,
         config=HiRISEConfig(pool_k=4, roi_pad_fraction=0.05),
         noise=NOISE,
     )
+    return pipeline, on_frame
+
+
+def _run(clip, *, window: int, policy: str, frame_seeds) -> object:
+    pipeline, on_frame = _pipeline(clip)
     runner = StreamRunner(
-        pipeline,
-        reuse=TemporalROIReuse() if reuse else None,
-        window=window,
-        keep_outcomes=True,
+        pipeline, reuse=_policy(policy), window=window, keep_outcomes=True
     )
     return runner.run(clip.frames, frame_seeds=frame_seeds, on_frame=on_frame)
+
+
+def _oracle(clip, *, policy: str, frame_seeds) -> object:
+    pipeline, on_frame = _pipeline(clip)
+    return oracle_stream(
+        pipeline, _policy(policy), clip.frames, frame_seeds, on_frame
+    )
 
 
 class TestRunnerWindowEquivalence:
     @given(
         n_frames=st.integers(1, 7),
-        window=st.integers(2, 9),
+        window=st.integers(1, 9),
         clip_seed=st.integers(0, 3),
-        reuse=st.booleans(),
+        policy=st.sampled_from(POLICY_NAMES),
         speed=st.sampled_from([0.0, 2.0]),
         seed_base=st.none() | st.integers(0, 1000),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_any_window_matches_per_frame_oracle(
-        self, n_frames, window, clip_seed, reuse, speed, seed_base
+        self, n_frames, window, clip_seed, policy, speed, seed_base
     ):
-        """For any (clip, seeds, policy, window): windowed == per-frame."""
+        """For any (clip, seeds, policy, window): runner == per-frame loop."""
         clip = _clip(n_frames, clip_seed, speed)
         frame_seeds = (
             None
             if seed_base is None
             else [seed_base + 13 * i for i in range(n_frames)]
         )
-        oracle = _run(clip, window=1, reuse=reuse, frame_seeds=frame_seeds)
-        got = _run(clip, window=window, reuse=reuse, frame_seeds=frame_seeds)
+        oracle = _oracle(clip, policy=policy, frame_seeds=frame_seeds)
+        got = _run(clip, window=window, policy=policy, frame_seeds=frame_seeds)
         assert_streams_equal(got, oracle)
 
     def test_reuse_actually_exercised(self):
         """The grid is non-vacuous: reuse grants fire on the static clip."""
-        outcome = _run(
-            _clip(7, 0, 0.0), window=4, reuse=True, frame_seeds=None
-        )
-        assert sum(f.reused_rois for f in outcome.frames) > 0
-        assert sum(f.ran_stage1 for f in outcome.frames) < len(outcome.frames)
+        for policy in ("temporal", "keyframe"):
+            outcome = _run(
+                _clip(7, 0, 0.0), window=4, policy=policy, frame_seeds=None
+            )
+            assert sum(f.reused_rois for f in outcome.frames) > 0, policy
+            assert sum(f.ran_stage1 for f in outcome.frames) < len(outcome.frames)
 
     def test_partial_tail_window(self):
         """A stream whose length is not a window multiple flushes a short
         tail through the same preallocated buffer."""
         clip = _clip(7, 1)
-        oracle = _run(clip, window=1, reuse=False, frame_seeds=None)
-        got = _run(clip, window=5, reuse=False, frame_seeds=None)
+        oracle = _oracle(clip, policy="none", frame_seeds=None)
+        got = _run(clip, window=5, policy="none", frame_seeds=None)
         assert_streams_equal(got, oracle)
 
     def test_buffer_reuse_across_runs(self):
         """Back-to-back runs on one runner (buffer already warm) stay
         bit-identical to a fresh runner."""
         clip = _clip(6, 2)
-        detect, on_frame = ground_truth_detector(clip)
-        pipeline = HiRISEPipeline(
-            detector=detect,
-            config=HiRISEConfig(pool_k=4, roi_pad_fraction=0.05),
-            noise=NOISE,
-        )
+        pipeline, on_frame = _pipeline(clip)
         runner = StreamRunner(pipeline, window=4, keep_outcomes=True)
         first = runner.run(clip.frames, on_frame=on_frame)
         second = runner.run(clip.frames, on_frame=on_frame)
@@ -157,15 +209,16 @@ SYSTEM = SystemSpec.from_dict(
     }
 )
 N_FRAMES = 6
-SOURCES = {
+SOURCE_REFS = {
     "pedestrian": ComponentRef("pedestrian", {"resolution": [96, 64]}),
     "drone": ComponentRef("drone", {"resolution": [96, 64]}),
 }
+POLICY_REFS = ["none", "temporal-reuse", "keyframe"]
 
 
 def scenario(source: str, policy: str, window: int, seed: int = 3) -> ScenarioSpec:
     return ScenarioSpec(
-        source=SOURCES[source],
+        source=SOURCE_REFS[source],
         n_frames=N_FRAMES,
         seed=seed,
         policy=ComponentRef(policy),
@@ -180,41 +233,45 @@ def engine():
 
 
 @pytest.fixture(scope="module")
-def oracles(engine):
-    """Per-frame serial references, one per (source, policy, seed) cell."""
+def oracles():
+    """Per-frame references built from the same registered components as
+    the engine, one per (source, policy, seed) cell."""
     cells = {}
-    for source in SOURCES:
-        for policy in ("none", "temporal-reuse"):
+    for source, ref in SOURCE_REFS.items():
+        for policy in POLICY_REFS:
             for seed in (3, 11):
-                cells[source, policy, seed] = engine.run(
-                    scenario(source, policy, 1, seed)
-                ).outcome
+                clip = SOURCES.get(source)(N_FRAMES, seed, **dict(ref.params))
+                detect, on_frame = DETECTORS.get("ground-truth")(clip, label="person")
+                pipeline = HiRISEPipeline(
+                    detector=detect, config=SYSTEM.config, noise=SYSTEM.noise
+                )
+                cells[source, policy, seed] = oracle_stream(
+                    pipeline, POLICIES.get(policy)(), clip.frames, on_frame=on_frame
+                )
     return cells
 
 
 class TestEngineWindowEquivalence:
     # ISSUE acceptance grid: window sizes {1, 4, full clip}.
     @pytest.mark.parametrize("window", [1, 4, N_FRAMES])
-    @pytest.mark.parametrize("policy", ["none", "temporal-reuse"])
-    @pytest.mark.parametrize("source", list(SOURCES))
+    @pytest.mark.parametrize("policy", POLICY_REFS)
+    @pytest.mark.parametrize("source", list(SOURCE_REFS))
     def test_windowed_scenarios_match_oracle(
         self, engine, oracles, window, policy, source
     ):
         for seed in (3, 11):
             got = engine.run(scenario(source, policy, window, seed)).outcome
             oracle = oracles[source, policy, seed]
+            assert got.system == oracle.system
             assert got.frames == oracle.frames
-            got_dict, oracle_dict = got.to_dict(), oracle.to_dict()
-            got_dict.pop("wall_time_s"), oracle_dict.pop("wall_time_s")
-            assert got_dict == oracle_dict
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_executors_preserve_windowed_identity(self, engine, oracles, executor):
         """The full windowed grid through each batch executor."""
         requests = [
             scenario(source, policy, window)
-            for source in SOURCES
-            for policy in ("none", "temporal-reuse")
+            for source in SOURCE_REFS
+            for policy in POLICY_REFS
             for window in (1, 4, N_FRAMES)
         ]
         fresh = Engine(SYSTEM, cache=EngineCache.disabled())
@@ -223,4 +280,3 @@ class TestEngineWindowEquivalence:
         for request, result in zip(requests, batch):
             oracle = oracles[request.source.name, request.policy.name, 3]
             assert result.outcome.frames == oracle.frames
-

@@ -31,6 +31,22 @@ class TestFromImage:
         with pytest.raises(ValueError):
             PixelArray.from_image(np.zeros((2, 2, 4)))
 
+    @pytest.mark.parametrize(
+        "frame, got",
+        [
+            (np.zeros(5), r"\(5,\)"),
+            (np.zeros((1, 4, 4, 3)), r"\(1, 4, 4, 3\)"),
+            (PixelArray(np.zeros((4, 4, 3))), "PixelArray"),
+            ([[0.5, 0.5], [0.5, 0.5]], "list"),
+        ],
+    )
+    def test_rejects_non_image_frames(self, frame, got):
+        message = r"image must be \(H, W, 3\) or \(H, W\), got " + got
+        with pytest.raises(ValueError, match=message):
+            PixelArray.from_image(frame)
+        with pytest.raises(ValueError, match=message):
+            PixelArray.from_image_batch([np.zeros((4, 4, 3)), frame])
+
     def test_rejects_bad_vdd(self):
         with pytest.raises(ValueError):
             PixelArray.from_image(np.zeros((2, 2, 3)), vdd=0.0)

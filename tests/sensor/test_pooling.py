@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sensor import AnalogPoolingModel, block_reduce_mean, digital_avg_pool
+from repro.sensor.pooling import _mismatch_maps
 
 
 class TestBlockReduce:
@@ -99,3 +100,46 @@ class TestAnalogPoolingModel:
     def test_rejects_bad_input_shape(self):
         with pytest.raises(ValueError):
             AnalogPoolingModel().pool(np.zeros((4, 4)), 2, vdd=1.0)
+
+
+def uncached_pool(model, voltages, k, vdd, grayscale=False):
+    """:meth:`AnalogPoolingModel.pool` with the mismatch maps drawn afresh."""
+    merged = block_reduce_mean(voltages.mean(axis=2) if grayscale else voltages, k)
+    normalized = np.clip(merged / vdd, 0.0, 1.0)
+    if model.compression:
+        normalized = normalized - model.compression * normalized * (1.0 - normalized)
+    shared = model.gain * normalized * vdd + model.offset_per_vdd * vdd
+    rng = np.random.default_rng(model.seed)
+    gain_map = 1.0 + model.gain_error_sigma * rng.standard_normal(merged.shape)
+    offset_map = model.offset_error_sigma_per_vdd * vdd * rng.standard_normal(merged.shape)
+    shared = shared * gain_map + offset_map
+    return np.clip((shared - model.offset_per_vdd * vdd) / model.gain, 0.0, vdd)
+
+
+class TestMismatchMemo:
+    def test_cached_maps_are_read_only(self):
+        model = AnalogPoolingModel(seed=4)
+        model.pool(np.full((8, 8, 3), 0.5), 2, vdd=1.0)
+        for table in _mismatch_maps(model, (4, 4, 3), 1.0):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("seed", [0, 5, 77])
+    @pytest.mark.parametrize("shape, k", [((16, 12, 3), 4), ((9, 7, 3), 2), ((6, 5, 3), 1)])
+    @pytest.mark.parametrize("grayscale", [False, True])
+    def test_pool_equals_a_fresh_draw(self, seed, shape, k, grayscale):
+        model = AnalogPoolingModel(seed=seed)
+        voltages = np.random.default_rng(seed).random(shape) * 1.2
+        want = uncached_pool(model, voltages, k, 1.2, grayscale)
+        for _ in range(2):  # cold, then served from the memo
+            got = model.pool(voltages, k, vdd=1.2, grayscale=grayscale)
+            assert np.array_equal(got, want)
+
+    def test_cache_is_bounded(self):
+        maxsize = _mismatch_maps.cache_info().maxsize
+        assert maxsize is not None
+        model = AnalogPoolingModel(seed=9)
+        for side in range(1, maxsize + 10):
+            model.pool(np.full((side, 2, 3), 0.5), 1, vdd=1.0)
+        assert _mismatch_maps.cache_info().currsize <= maxsize

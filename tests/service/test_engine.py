@@ -441,5 +441,17 @@ class TestEngineProfiling:
         engine = Engine(SYSTEM, profile=True)
         result = engine.run(scenario(n_frames=4, window=2))
         profile = result.profile
-        assert profile.get("stage1.read").calls == 2  # one per chunk flush
+        assert profile.get("expose").calls == 2       # one pass per flush
+        assert profile.get("stage1.read").calls == 4  # one per pooled frame
         assert profile.get("detect").calls == 4       # still per frame
+
+    def test_only_frames_running_stage1_are_pooled(self):
+        engine = Engine(SYSTEM, profile=True)
+        for policy in ("temporal-reuse", "keyframe"):
+            result = engine.run(
+                scenario(n_frames=12, window=4, policy=ComponentRef(policy))
+            )
+            outcome = result.outcome
+            assert 0 < outcome.stage1_frames < outcome.n_frames, policy
+            assert result.profile.get("stage1.read").calls == outcome.stage1_frames
+            assert result.profile.get("expose").calls == 3

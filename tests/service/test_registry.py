@@ -76,6 +76,7 @@ class TestBuiltins:
         for name in ("crowdhuman-scenes", "dhdcampus-scenes", "visdrone-scenes"):
             assert name in SOURCES
         assert "none" in POLICIES and "temporal-reuse" in POLICIES
+        assert "keyframe" in POLICIES
 
     def test_list_components_shape(self):
         listing = list_components()
@@ -124,6 +125,8 @@ class TestBuiltins:
         assert policy.max_reuse == 5
         assert policy.stability_iou == 0.7
         assert POLICIES.get("none")() is None
+        keyframe = POLICIES.get("keyframe")(interval=3, warmup=4)
+        assert (keyframe.interval, keyframe.warmup) == (3, 4)
 
     def test_mean_luma_classifier(self):
         import numpy as np

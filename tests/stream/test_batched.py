@@ -11,8 +11,6 @@ from repro.sensor import (
     NoiseModel,
     PixelArray,
     SensorReadout,
-    block_reduce_mean,
-    block_reduce_mean_batch,
 )
 from repro.stream import StreamRunner, ground_truth_detector, pedestrian_clip
 
@@ -21,26 +19,6 @@ from repro.stream import StreamRunner, ground_truth_detector, pedestrian_clip
 def frames():
     rng = np.random.default_rng(5)
     return [rng.random((48, 64, 3)) for _ in range(6)]
-
-
-class TestBlockReduceBatch:
-    def test_matches_per_frame_exactly(self):
-        rng = np.random.default_rng(0)
-        stack = rng.random((5, 32, 48, 3))
-        batched = block_reduce_mean_batch(stack, 4)
-        for i in range(5):
-            assert np.array_equal(batched[i], block_reduce_mean(stack[i], 4))
-
-    def test_2d_frames(self):
-        rng = np.random.default_rng(1)
-        stack = rng.random((3, 16, 16))
-        batched = block_reduce_mean_batch(stack, 2)
-        for i in range(3):
-            assert np.array_equal(batched[i], block_reduce_mean(stack[i], 2))
-
-    def test_validates_pool_size(self):
-        with pytest.raises(ValueError):
-            block_reduce_mean_batch(np.zeros((2, 4, 4, 3)), 0)
 
 
 class TestExposureBatch:
@@ -137,29 +115,6 @@ class TestBatchSensorReadout:
     def test_seed_count_mismatch(self, frames):
         with pytest.raises(ValueError, match="frame seeds"):
             BatchSensorReadout.from_images(frames, frame_seeds=[1, 2])
-
-    def test_voltage_stack_copy_free(self, frames):
-        batch = BatchSensorReadout.from_images(frames)
-        assert batch._stack is not None
-        assert all(
-            np.shares_memory(batch._stack[i], batch.readouts[i].array.voltages)
-            for i in range(len(frames))
-        )
-
-    def test_hand_built_instance_falls_back_to_stacking(self, frames):
-        readouts = BatchSensorReadout.from_images(frames).readouts
-        rebuilt = BatchSensorReadout(readouts=readouts)
-        assert rebuilt._stack is None
-        results = rebuilt.read_compressed(4)
-        expected = BatchSensorReadout.from_images(frames).read_compressed(4)
-        for a, b in zip(results, expected):
-            assert np.array_equal(a.images, b.images)
-
-    def test_mixed_pooling_models_rejected(self, frames):
-        readouts = BatchSensorReadout.from_images(frames).readouts
-        readouts[1].pooling = AnalogPoolingModel(seed=1)
-        with pytest.raises(ValueError, match="shared pooling"):
-            BatchSensorReadout(readouts=readouts).read_compressed(4)
 
     def test_empty(self):
         assert BatchSensorReadout.from_images([]).read_compressed(2) == []

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import ROI, HiRISEConfig, HiRISEPipeline
+from repro.core import ROI, HiRISEConfig, HiRISEPipeline, ROITracker
 from repro.stream import (
+    KeyframeReuse,
     StreamRunner,
     TemporalROIReuse,
     ground_truth_detector,
@@ -160,6 +161,50 @@ class TestTemporalROIReusePolicy:
             TemporalROIReuse(max_reuse=0)
         with pytest.raises(ValueError):
             TemporalROIReuse(warmup=1)
+
+
+class TestKeyframeReusePolicy:
+    def test_warmup_then_fixed_cadence(self):
+        policy = KeyframeReuse(interval=3)
+        reasons = []
+        for _ in range(8):
+            decision = policy.propose()
+            reasons.append(decision.reason)
+            if not decision.reuse:
+                policy.observe([ROI(10, 10, 20, 20)])
+        assert reasons == [
+            "warmup", "warmup", "tracked", "tracked",
+            "keyframe", "tracked", "tracked", "keyframe",
+        ]
+
+    def test_tracked_frames_read_predicted_windows(self):
+        policy = KeyframeReuse(tracker=ROITracker(inflate_per_frame=0.0))
+        policy.observe([ROI(10, 10, 20, 20)])
+        policy.observe([ROI(14, 10, 20, 20)])
+        decision = policy.propose()
+        assert decision.reuse
+        assert [r.xywh for r in decision.rois] == [(18, 10, 20, 20)]
+
+    def test_lost_tracks_force_an_early_keyframe(self):
+        policy = KeyframeReuse(interval=4)
+        policy.observe([])
+        policy.observe([])
+        assert policy.propose().reason == "lost-tracks"
+
+    def test_reset_restarts_warmup(self):
+        policy = KeyframeReuse()
+        policy.observe([ROI(10, 10, 20, 20)])
+        policy.observe([ROI(10, 10, 20, 20)])
+        assert policy.propose().reuse
+        policy.reset()
+        assert policy.propose().reason == "warmup"
+        assert policy.tracker.tracks == ()
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="interval"):
+            KeyframeReuse(interval=0)
+        with pytest.raises(ValueError, match="warmup"):
+            KeyframeReuse(warmup=0)
 
 
 class TestReuseStream:

@@ -9,6 +9,7 @@ from repro.core import (
     HiRISEPipeline,
     ROI,
 )
+from repro.sensor import PixelArray
 from repro.stream import (
     FrameStats,
     StreamOutcome,
@@ -159,6 +160,23 @@ class TestRunnerModes:
         # window composes with reuse.
         runner = StreamRunner(pipeline, reuse=TemporalROIReuse(), window=4)
         assert runner.window == 4
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_non_image_frames_rejected_at_every_window(self, clip, window):
+        frame = clip.frames[0]
+        message = r"image must be \(H, W, 3\) or \(H, W\), got "
+        bad = {
+            "PixelArray": PixelArray.from_image(frame),
+            r"\(5,\)": np.zeros(5),
+            r"\(1, 96, 128, 3\)": frame[None],
+        }
+        for got, item in bad.items():
+            runner, on_frame = hirise_runner(clip, window=window)
+            with pytest.raises(ValueError, match=message + got):
+                runner.run([item, frame], on_frame=on_frame)
+            runner, on_frame = hirise_runner(clip, window=window)
+            with pytest.raises(ValueError, match=message + got):
+                runner.run([frame, item], on_frame=on_frame)
 
     def test_seed_mismatch_error_names_the_stream(self, clip):
         runner, _ = hirise_runner(clip, label="pedestrian/none")
