@@ -7,10 +7,10 @@ pool across every group, process by default) and a **shared
 :class:`~repro.service.EngineCache`** — the clip tier is system-agnostic,
 so a pooling sweep over one workload renders each clip once no matter how
 many systems read it (in-process executors share the cache directly;
-process-pool workers share one cache per worker process, so a clip is
-rendered at most once per worker rather than once per system).  Baseline
-runs (when the sweep declares one) are deduplicated per distinct clip and
-served through the same cache.
+process-pool workers share one clip cache per worker process, so a clip
+is rendered at most once per worker rather than once per system).  Each
+cell also asks for its baseline run (when the sweep declares one) through
+the same cache, whose result tier builds it once per distinct clip.
 
 Determinism is inherited wholesale from the engine: per-cell results are
 bit-identical to fresh serial runs whatever executor or cache served them
@@ -303,26 +303,21 @@ class SweepRunner:
     def _serve_baselines(
         self, cells: tuple[SweepCell, ...], pool: Executor
     ) -> dict[int, RunResult]:
-        """Run the baseline system once per distinct clip, map to cells."""
+        """Run the baseline system for every cell.
+
+        Cells sharing a clip ask for the same baseline spec; the result
+        tier single-flights them, so it is built once per clip unless the
+        sweep's cache is disabled.
+        """
         if self.spec.baseline is None:
             return {}
-        by_clip: dict[str, list[int]] = {}
-        scenarios = {}
-        for cell in cells:
-            scenario = self.spec.baseline_scenario(cell.scenario)
-            key = spec_fingerprint(scenario.to_dict()) or f"cell-{cell.index}"
-            by_clip.setdefault(key, []).append(cell.index)
-            scenarios[key] = scenario
         engine = Engine(self.spec.baseline, cache=self.cache, profile=False)
-        keys = list(by_clip)
         batch = engine.run_batch(
-            [scenarios[key] for key in keys], workers=self.workers, executor=pool
+            [self.spec.baseline_scenario(cell.scenario) for cell in cells],
+            workers=self.workers,
+            executor=pool,
         )
-        results: dict[int, RunResult] = {}
-        for key, result in zip(keys, batch.results):
-            for index in by_clip[key]:
-                results[index] = result
-        return results
+        return {cell.index: result for cell, result in zip(cells, batch.results)}
 
 
 def run_sweep(

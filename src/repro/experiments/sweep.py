@@ -175,7 +175,7 @@ class SweepSpec:
         scenario: base scenario spec every cell starts from.
         axes: swept dimensions; the grid is their cross-product in order.
         baseline: optional reference system (e.g. ``"conventional"``) run
-            once per distinct clip; enables the per-cell reduction
+            on each cell's clip through the cache; enables the per-cell reduction
             factors the paper reports.  Baseline runs always use policy
             ``"none"``, ``window=1``, and no kept outcomes — the
             full-frame per-frame reference.

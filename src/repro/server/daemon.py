@@ -26,10 +26,13 @@ Request discipline (the admission-controlled front door):
 Compute paths: non-streaming requests go through the warm executor
 (``executor.execute(engine, [scenario])`` — a "process" daemon really
 dispatches to warm worker processes); streaming requests run in-daemon
-via :meth:`Engine.run_streaming <repro.service.Engine.run_streaming>` so
-per-frame ledgers can be written to the socket as they land.  Both paths
-share the one cache, so repeated requests are pure hits and bit-identical
-to a fresh serial run — the serving benchmark's standing assertion.
+via ``Engine.run(scenario, on_stats=...)``, whose per-frame ledgers the
+connection's handler thread writes to the socket as they land — the
+compute never writes to a client, so a client that reads slowly or not
+at all holds only its own connection.  Both paths single-flight through
+the one result tier, so concurrent or repeated requests for one spec
+compute it once, bit-identical to a fresh serial run — the serving
+benchmark's standing assertion.
 """
 
 from __future__ import annotations
@@ -73,14 +76,26 @@ from .protocol import (
 
 
 class _Job:
-    """One admitted request on its way through the queue."""
+    """One admitted request on its way through the queue.
 
-    __slots__ = ("request", "connection", "future")
+    A streamed job's worker puts each frame's ledger row on ``rows`` for
+    the handler thread to write; ``None`` follows the last row once
+    ``future`` is done (resolved, failed or cancelled).
+    """
+
+    __slots__ = ("request", "connection", "future", "rows")
 
     def __init__(self, request: RunRequest, connection: "_Connection"):
         self.request = request
         self.connection = connection
         self.future: Future = Future()
+        self.rows = rows = queue.SimpleQueue()
+        self.future.add_done_callback(lambda _future: rows.put(None))
+
+
+def _remaining(deadline: float | None) -> float | None:
+    """Seconds left until ``deadline`` (``None`` = no deadline)."""
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
 
 
 #: Monotone connection ids, stamped on every accepted socket so stderr
@@ -91,12 +106,10 @@ _CONNECTION_IDS = itertools.count(1)
 class _Connection:
     """Per-client state: the socket, its reader, and a write lock.
 
-    The write lock serializes whole frames: during a streamed request the
-    serving worker writes :class:`FrameChunk` rows while the handler
-    thread may need to write a timeout error — frames must never
-    interleave mid-line.  ``abandoned`` marks a request id whose client
-    stopped waiting (timeout): the worker drops further stream writes for
-    it instead of corrupting the reply order.  ``cid`` is this
+    The handler thread writes every reply to its own requests; the write
+    lock serializes whole frames against the other writers (a
+    non-draining shutdown's ``"shutting-down"`` errors, a fault closing
+    the socket) — frames must never interleave mid-line.  ``cid`` is this
     connection's daemon-unique id, quoted in stderr diagnostics.
     """
 
@@ -105,34 +118,21 @@ class _Connection:
         self.sock = sock
         self.reader = sock.makefile("rb")
         self.wlock = threading.Lock()
-        self.abandoned: set[str] = set()
         self.closed = False
 
     def send(self, frame) -> None:
+        self.send_line(encode_frame(frame))
+
+    def send_line(self, payload: bytes) -> None:
+        """Send one encoded frame line (dropped once the client is gone)."""
         with self.wlock:
             if self.closed:
                 return
             try:
-                self.sock.sendall(encode_frame(frame))
+                self.sock.sendall(payload)
             except OSError:
                 # The client went away; reads will observe EOF shortly.
                 self.closed = True
-
-    def send_stream_frame(self, request_id: str, frame) -> bool:
-        """Send a mid-stream frame unless the request was abandoned."""
-        with self.wlock:
-            if self.closed or request_id in self.abandoned:
-                return False
-            try:
-                self.sock.sendall(encode_frame(frame))
-                return True
-            except OSError:
-                self.closed = True
-                return False
-
-    def abandon(self, request_id: str) -> None:
-        with self.wlock:
-            self.abandoned.add(request_id)
 
     def close(self) -> None:
         """Stop writes and wake the handler's blocked read.
@@ -503,14 +503,21 @@ class ReproServer:
             if request.timeout_s is not None
             else self.request_timeout_s
         )
+        deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            result = job.future.result(timeout=timeout)
-        except FutureTimeoutError:
-            # Stop the reply (and any further stream rows) first, then
-            # tell the client.  cancel() succeeds iff the job never
-            # started; a running one finishes server-side and still warms
-            # the cache for the next caller.
-            connection.abandon(request.id)
+            # A streamed job's rows are written here, as the worker queues
+            # them: the compute (a build other requests for the spec may
+            # be waiting on) never blocks on this client's reads.
+            while request.stream:
+                stats = job.rows.get(timeout=_remaining(deadline))
+                if stats is None:
+                    break
+                connection.send(FrameChunk(id=request.id, stats=stats))
+            result = job.future.result(timeout=_remaining(deadline))
+        except (FutureTimeoutError, queue.Empty):
+            # cancel() succeeds iff the job never started; a running one
+            # finishes server-side and still warms the cache for the next
+            # caller, but none of its further rows are written.
             job.future.cancel()
             connection.send(
                 ErrorResponse(
@@ -553,17 +560,15 @@ class ReproServer:
         if not self._inject_reply_fault(connection, request.id):
             return
         if request.stream:
-            # The worker already streamed every FrameChunk (synchronously,
-            # before resolving the future); close the stream.
+            # Every FrameChunk is written (the rows above); close the stream.
             outcome = result.outcome
-            connection.send_stream_frame(
-                request.id,
+            connection.send(
                 StreamEnd(
                     id=request.id,
                     system=outcome.system,
                     n_frames=outcome.n_frames,
                     wall_time_s=outcome.wall_time_s,
-                ),
+                )
             )
         else:
             response = ResultResponse(
@@ -581,7 +586,7 @@ class ReproServer:
                     )
                 )
             else:
-                connection.send(response)
+                connection.send_line(payload)
 
     # -- fault injection (chaos testing) -------------------------------------------
 
@@ -641,17 +646,13 @@ class ReproServer:
                 request = job.request
                 try:
                     if request.stream:
-                        # Streaming computes in-daemon: per-frame ledgers
-                        # must reach the socket as the runner yields them.
-                        def on_stats(stats, _req=request, _conn=job.connection):
-                            self._inject_stream_fault(_conn)
-                            _conn.send_stream_frame(
-                                _req.id, FrameChunk(id=_req.id, stats=stats)
-                            )
+                        # Streaming computes in-daemon and queues each
+                        # per-frame ledger for the handler as it lands.
+                        def on_stats(stats, _job=job):
+                            self._inject_stream_fault(_job.connection)
+                            _job.rows.put(stats)
 
-                        result = self.engine.run_streaming(
-                            request.scenario, on_stats=on_stats
-                        )
+                        result = self.engine.run(request.scenario, on_stats=on_stats)
                     else:
                         # The warm executor is the compute path — for a
                         # "process" daemon this dispatches to a warm

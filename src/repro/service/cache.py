@@ -29,8 +29,11 @@ anything (``disk_hits``/``disk_misses`` on :class:`TierStats` make that
 observable).
 
 Lookups are **single-flight**: concurrent requests for one key build the
-value once and share it, which is what makes the cache safe under the
-thread executor.  Cached values are shared objects — treat them as
+value once and share it.  Every serving path meets the cache here —
+``Engine.run`` (serial and thread executors, streamed replies) through
+:meth:`SpecCache.get_or_build`, the process executor through
+:meth:`SpecCache.claim` and :meth:`SpecCache.settle`, dispatching only
+the builds it owns.  Cached values are shared objects — treat them as
 read-only, exactly like the engine's results contract already requires.
 """
 
@@ -210,14 +213,40 @@ class SpecCache:
     ):
         """Return the value for ``key``, building it at most once.
 
-        Concurrent callers for one key share a single in-flight build
-        (the losers block on the winner's future).  A failed build is
-        dropped from the cache so later calls retry, and its exception
-        propagates to every waiter.
+        :meth:`claim`, then ``build()`` and :meth:`settle` if this caller
+        owns the claim; every other caller waits on the owner's build.  A
+        failed build is dropped from the cache so later calls retry, and
+        its exception propagates to every waiter.
 
         Args:
             key: content address (``None`` = uncacheable, always builds).
             build: zero-argument factory for the value.
+            delta: optional per-caller counter (see :meth:`claim`).
+        """
+        entry, owner = self.claim(key, delta)
+        if owner:
+            try:
+                value = build()
+            except BaseException as exc:
+                self.settle(key, entry, error=exc)
+                raise
+            self.settle(key, entry, value)
+        return entry.result()
+
+    def claim(
+        self, key: str | None, delta: TierStats | None = None
+    ) -> tuple[Future, bool]:
+        """Look ``key`` up, registering an in-flight entry on a miss.
+
+        Returns ``(entry, owner)``.  An owner must build the value and
+        pass it, or the build's error, to :meth:`settle`; meanwhile every
+        other claim of the key counts a hit and shares ``entry``, whose
+        ``result()`` blocks until the value lands (or raises the owner's
+        error).  A disk-tier hit is promoted into memory and never owned;
+        an uncacheable key or a disabled tier always owns a private entry.
+
+        Args:
+            key: content address (``None`` = uncacheable).
             delta: optional per-caller counter, incremented alongside the
                 tier's global ``stats`` *under the same lock*.  This is
                 what lets concurrent batches sharing one cache each report
@@ -226,49 +255,52 @@ class SpecCache:
         """
         if key is None or self.capacity == 0:
             with self._lock:
-                self.stats.misses += 1
-                if delta is not None:
-                    delta.misses += 1
-            return build()
-        is_owner = False
+                self._count_locked("misses", delta)
+            return Future(), True
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                self.stats.hits += 1
-                if delta is not None:
-                    delta.hits += 1
+                self._count_locked("hits", delta)
                 self._entries.move_to_end(key)
-            else:
-                self.stats.misses += 1
-                if delta is not None:
-                    delta.misses += 1
-                is_owner = True
-                entry = Future()
-                self._entries[key] = entry
-                spilled = self._evict_over_capacity_locked(delta)
-        if not is_owner:
-            return entry.result()
+                return entry, False
+            self._count_locked("misses", delta)
+            entry = Future()
+            self._entries[key] = entry
+            spilled = self._evict_over_capacity_locked(delta)
         self._spill(spilled)
-        # Owner path: the disk tier answers before anything recomputes.
+        # The disk tier answers before anything recomputes.
         value = self._load_from_store(key, delta)
-        built = value is _STORE_MISS
-        if built:
-            try:
-                value = build()
-            except BaseException as exc:
-                entry.set_exception(exc)
-                with self._lock:
-                    if self._entries.get(key) is entry:
-                        del self._entries[key]
-                raise
-        entry.set_result(value)
-        self._record_size(key, entry, value)
-        if built and self.store is not None:
-            # Write-through: everything ever built lands on disk, which is
-            # what makes the next process's cold start a pure-hit replay
-            # (and makes eviction spill a mere dedup check).
-            self.store.put(self.kind, key, value)
-        return entry.result()
+        if value is _STORE_MISS:
+            return entry, True
+        self._fill(key, entry, value)
+        return entry, False
+
+    def settle(
+        self,
+        key: str | None,
+        entry: Future,
+        value=None,
+        error: BaseException | None = None,
+    ) -> None:
+        """Resolve an owned :meth:`claim` with its built value or its error.
+
+        A value reaches every waiter, is sized, and is written through to
+        the disk tier (everything ever built lands on disk, which is what
+        makes the next process's cold start a pure-hit replay and eviction
+        spill a mere dedup check).  An error reaches every waiter and
+        drops the entry, so the next claim of the key owns it again.
+        """
+        if error is not None:
+            entry.set_exception(error)
+            with self._lock:
+                if self._entries.get(key) is entry:
+                    del self._entries[key]
+        elif key is None or self.capacity == 0:
+            entry.set_result(value)
+        else:
+            self._fill(key, entry, value)
+            if self.store is not None:
+                self.store.put(self.kind, key, value)
 
     def peek(self, key: str | None, delta: TierStats | None = None):
         """Non-building lookup: ``(hit, value)``; counts a hit or a miss.
@@ -276,27 +308,21 @@ class SpecCache:
         Only *completed* entries count as memory hits — an in-flight build
         from another thread is treated as a miss so the caller never
         blocks.  A memory miss still falls through to the disk tier (a
-        disk hit promotes the value and returns it), so restart-warm
-        streaming replays never depend on RAM state.  ``delta`` is the
-        same per-caller counter :meth:`get_or_build` takes.
+        disk hit promotes the value and returns it), so a restarted
+        process never depends on RAM state.  ``delta`` is the same
+        per-caller counter :meth:`claim` takes.
         """
         if key is None or self.capacity == 0:
             with self._lock:
-                self.stats.misses += 1
-                if delta is not None:
-                    delta.misses += 1
+                self._count_locked("misses", delta)
             return False, None
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.done() and entry.exception() is None:
-                self.stats.hits += 1
-                if delta is not None:
-                    delta.hits += 1
+                self._count_locked("hits", delta)
                 self._entries.move_to_end(key)
                 return True, entry.result()
-            self.stats.misses += 1
-            if delta is not None:
-                delta.misses += 1
+            self._count_locked("misses", delta)
         if self.store is not None:
             value = self._load_from_store(key, delta)
             if value is not _STORE_MISS:
@@ -361,18 +387,14 @@ class SpecCache:
         if self.store is None:
             return _STORE_MISS
         value = self.store.load(self.kind, key)
+        counter = "disk_misses" if value is _STORE_MISS else "disk_hits"
         with self._lock:
-            if value is _STORE_MISS:
-                self.stats.disk_misses += 1
-                if delta is not None:
-                    delta.disk_misses += 1
-            else:
-                self.stats.disk_hits += 1
-                if delta is not None:
-                    delta.disk_hits += 1
+            self._count_locked(counter, delta)
         return value
 
-    def _record_size(self, key: str, entry: Future, value) -> None:
+    def _fill(self, key: str, entry: Future, value) -> None:
+        # Waiters wake first; sizing (a pickle, for results) comes after.
+        entry.set_result(value)
         if self.sizer is None:
             return
         size = self.sizer(value)
@@ -380,13 +402,11 @@ class SpecCache:
             if self._entries.get(key) is entry:
                 self._sizes[key] = size
 
-    def record_shared_hit(self, delta: TierStats | None = None) -> None:
-        """Count a lookup served by sharing another request's in-batch build
-        (keeps executor paths' accounting consistent with single-flight)."""
-        with self._lock:
-            self.stats.hits += 1
-            if delta is not None:
-                delta.hits += 1
+    def _count_locked(self, counter: str, delta: TierStats | None) -> None:
+        # Caller holds the lock: one event, counted globally and per caller.
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        if delta is not None:
+            setattr(delta, counter, getattr(delta, counter) + 1)
 
     def merge_stats(self, other: TierStats, delta: TierStats | None = None) -> None:
         """Fold external counters in (worker processes), under the lock."""
@@ -405,9 +425,7 @@ class SpecCache:
         while len(self._entries) > self.capacity:
             key, entry = self._entries.popitem(last=False)
             self._sizes.pop(key, None)
-            self.stats.evictions += 1
-            if delta is not None:
-                delta.evictions += 1
+            self._count_locked("evictions", delta)
             if (
                 self.store is not None
                 and entry.done()

@@ -397,7 +397,13 @@ class Engine:
             profile=None if profiler is None else profiler.snapshot(),
         )
 
-    def run(self, request, clip=None, cache_delta: CacheStats | None = None) -> RunResult:
+    def run(
+        self,
+        request,
+        clip=None,
+        cache_delta: CacheStats | None = None,
+        on_stats=None,
+    ) -> RunResult:
         """Serve one request, through the result cache.
 
         Args:
@@ -409,59 +415,45 @@ class Engine:
                 counted into it as well as the global stats, which is how
                 concurrent batches sharing one cache each report exactly
                 their own traffic.
+            on_stats: optional callback invoked with every
+                :class:`~repro.stream.FrameStats` in stream order.  The
+                call that builds the result streams its rows live, while
+                later frames are still computing; a hit, or a call that
+                waited on another caller's build of the same spec, replays
+                the memoized ledger.  Either way the callback sees exactly
+                the rows the returned result carries.  It runs inside the
+                build other callers of the spec wait on, so it must not
+                block (the daemon's only queues each row for its socket).
 
         Returns:
             :class:`RunResult` with the request's stream ledger.  A
             repeat of an already-served ``(system, scenario)`` spec is
-            answered from the cache, bit-identical to a fresh run —
+            answered from the cache, bit-identical to a fresh run, and
+            concurrent requests for one spec build it once —
             unless the engine is profiling, which always recomputes (a
             memoized result has no phases to measure) and leaves the
             result tier untouched.
         """
         scenario = self._as_scenario(request)
-        if clip is not None:
-            return self._serve(scenario, clip, cache_delta=cache_delta)
-        if self.profile:
-            return self._serve(scenario, cache_delta=cache_delta)
-        return self.cache.results.get_or_build(
+        if clip is not None or self.profile:
+            return self._serve(
+                scenario, clip, cache_delta=cache_delta, on_stats=on_stats
+            )
+        built = False
+
+        def build() -> RunResult:
+            nonlocal built
+            built = True
+            return self._serve(scenario, cache_delta=cache_delta, on_stats=on_stats)
+
+        result = self.cache.results.get_or_build(
             self.result_key_for(scenario),
-            lambda: self._serve(scenario, cache_delta=cache_delta),
+            build,
             delta=None if cache_delta is None else cache_delta.results,
         )
-
-    def run_streaming(
-        self,
-        request,
-        on_stats=None,
-        cache_delta: CacheStats | None = None,
-    ) -> RunResult:
-        """Serve one request, streaming each frame's ledger as it lands.
-
-        ``on_stats`` is invoked with every :class:`~repro.stream.FrameStats`
-        in stream order — live, while later frames are still computing, when
-        the request misses the result cache; as an instant replay of the
-        memoized ledger when it hits.  Either way the callback sees exactly
-        the rows the returned result carries, so a client reassembling the
-        stream gets a ledger bit-identical to the non-streaming response.
-
-        Unlike :meth:`run`, concurrent *misses* of one key do not
-        single-flight (each caller must observe its own live stream); the
-        winner's result still lands in the cache for later requests.
-        """
-        scenario = self._as_scenario(request)
-        if on_stats is None:
-            return self.run(scenario, cache_delta=cache_delta)
-        if self.profile:
-            return self._serve(scenario, cache_delta=cache_delta, on_stats=on_stats)
-        key = self.result_key_for(scenario)
-        delta = None if cache_delta is None else cache_delta.results
-        hit, value = self.cache.results.peek(key, delta=delta)
-        if hit:
-            for stats in value.outcome.frames:
+        if on_stats is not None and not built:
+            for stats in result.outcome.frames:
                 on_stats(stats)
-            return value
-        result = self._serve(scenario, cache_delta=cache_delta, on_stats=on_stats)
-        self.cache.results.put(key, result, delta=delta)
         return result
 
     def run_batch(

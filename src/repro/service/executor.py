@@ -14,7 +14,7 @@ specs — and differ only in wall-clock behavior:
   case.  Scenarios are **chunked by clip key** so each worker renders a
   shared clip once, and the work units it ships are plain picklable specs
   (:class:`~repro.service.SystemSpec` + :class:`~repro.service.ScenarioSpec`),
-  rebuilt into a per-process engine on the other side.  Requires every
+  rebuilt into an engine on the other side.  Requires every
   component named by the spec to be registered at import time in the
   worker (i.e. registered by :mod:`repro.service.components` or another
   imported module) — spawn does not inherit runtime registrations.
@@ -27,7 +27,9 @@ specs — and differ only in wall-clock behavior:
   ``REPRO_CLIP_TRANSPORT`` env var select ``"shm"``, ``"pickle"``, or
   ``"none"`` (render in the worker, the pre-store behavior).  When the
   engine cache has a disk store attached, workers open the same store
-  root, so their renders and results persist too.
+  root, so their renders persist too.  Results persist once, through the
+  parent: it claims every scenario in the engine's result tier, ships
+  only the builds it owns, and settles each with the worker's result.
 
 Executors are selected by name (``EXECUTOR_NAMES``) via
 ``ServiceSpec.executor`` or ``repro run --executor``; pass a constructed
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import os
 import sys
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -181,8 +182,8 @@ def _chunk_by_clip(
     Scenarios sharing a clip key gravitate into one chunk (their worker
     renders the clip once), but a group larger than an even worker share
     is split — a homogeneous fleet must not serialize onto one worker
-    (each worker that gets a piece renders the clip once; its memoized
-    engine amortizes that across the piece).  Pieces are distributed
+    (each worker that gets a piece renders the clip once; its clip cache
+    amortizes that across the piece).  Pieces are distributed
     greedily, largest first, onto the least-loaded chunk.  Uncacheable
     scenarios (``clip_key`` is None) each form their own group — nothing
     can share with them.
@@ -209,45 +210,37 @@ def _chunk_by_clip(
     return [c for c in chunks if c]
 
 
-#: Worker-side engines, memoized per (system spec, cache policy) so a
-#: long-lived worker keeps its result memos warm across the chunks it
-#: serves.  LRU-bounded: a worker sweeping many distinct systems must
-#: not pin every old engine forever.
-_WORKER_ENGINES: "OrderedDict[tuple, Engine]" = OrderedDict()
-_WORKER_ENGINE_LIMIT = 4
-
-#: One shared cache per cache policy (capacities + store root), across
-#: every engine in this worker process.  Cache keys already fold the
-#: system fingerprint (results) or are system-agnostic by design (clips),
-#: so sharing is safe — and it is what lets a multi-system sweep over one
+#: One clip cache per (clip capacity, store root), across every engine in
+#: this worker process.  Clip keys are system-agnostic by design, so
+#: sharing is safe — and it is what lets a multi-system sweep over one
 #: workload reuse the rendered clip instead of re-rendering it per system
-#: (the parent-side engines share one EngineCache the same way).
-#: Outlives engine eviction; each tier stays LRU-bounded by its own
-#: capacity.
+#: (the parent-side engines share one EngineCache the same way).  The
+#: result tier is disabled: results are memoized only in the parent.
 _WORKER_CACHES: dict[tuple, "EngineCache"] = {}
 
 
 def _run_chunk(
     system: "SystemSpec",
     items: list[tuple[int, "ScenarioSpec"]],
-    cache_capacities: tuple[int, int],
+    clip_capacity: int,
     profile: bool = False,
     clips: dict | None = None,
     store_dir: str | None = None,
     fault_plan: dict | None = None,
 ):
-    """Worker entry point: serve one chunk against a per-process engine.
+    """Worker entry point: serve one chunk against a fresh engine.
 
     Module-level (picklable by reference) and lazy-importing, as the
     spawn start method requires.  The worker engine mirrors the parent's
-    cache capacities — a parent that disabled caching gets a worker that
-    really recomputes — sharing one per-process cache across every
+    clip capacity — a parent that disabled caching gets a worker that
+    really re-renders — sharing one per-process clip cache across every
     system it serves (clip reuse spans systems, exactly like the parent
     side), and the parent's ``profile`` flag, so profiled
     batches come back with phase breakdowns (profiles are plain data and
-    pickle with the results).  Returns the indexed results plus the
-    chunk's clip-tier stats delta, so the parent's accounting covers work
-    done here.
+    pickle with the results).  It keeps no result tier: the parent owns
+    every result it dispatches and memoizes it on arrival.  Returns the
+    indexed results plus the chunk's clip-tier stats delta, so the
+    parent's accounting covers work done here.
 
     ``clips`` maps raw clip keys to parent-shipped payloads —
     ``("shm", SharedClipHandle)`` or ``("pickle", SyntheticClip)`` —
@@ -255,7 +248,7 @@ def _run_chunk(
     reuses the parent's rendered frames instead of rebuilding them (a
     vanished shared segment just falls back to rendering).  ``store_dir``
     points the worker at the parent's on-disk store so its own renders
-    and results persist too.
+    persist too.
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan` dict) rebuilds the
     parent's fault injector worker-side; with none shipped, the ambient
@@ -266,7 +259,7 @@ def _run_chunk(
     """
     from ..faults import FaultInjector, FaultPlan
     from ..faults.runtime import default_injector
-    from .cache import EngineCache, spec_fingerprint
+    from .cache import EngineCache
     from .engine import Engine
 
     if fault_plan is not None:
@@ -274,8 +267,7 @@ def _run_chunk(
     else:
         injector = default_injector()
 
-    cache_key = (cache_capacities, store_dir)
-    clip_capacity, result_capacity = cache_capacities
+    cache_key = (clip_capacity, store_dir)
     cache = _WORKER_CACHES.get(cache_key)
     if cache is None:
         store = None
@@ -285,17 +277,10 @@ def _run_chunk(
             store = ArtifactStore(store_dir)
         cache = _WORKER_CACHES[cache_key] = EngineCache(
             clip_capacity=clip_capacity,
-            result_capacity=result_capacity,
+            result_capacity=0,
             store=store,
         )
-    key = (spec_fingerprint(system.to_dict()) or repr(system), cache_key)
-    engine = _WORKER_ENGINES.get(key)
-    if engine is None:
-        engine = _WORKER_ENGINES[key] = Engine(system, cache=cache)
-    _WORKER_ENGINES.move_to_end(key)
-    while len(_WORKER_ENGINES) > _WORKER_ENGINE_LIMIT:
-        _WORKER_ENGINES.popitem(last=False)
-    engine.profile = profile
+    engine = Engine(system, cache=cache, profile=profile)
     if clips:
         from ..store.shm import ClipSegmentGoneError, attach_clip
 
@@ -341,14 +326,17 @@ class ProcessExecutor(Executor):
     """The multi-core pool: true parallelism for GIL-bound pipeline work.
 
     Spawn-safe by construction — work units are picklable specs, the
-    worker function is module-level, and each worker rebuilds its engine
-    from the spec (memoized per process).  The pool spawns lazily on
-    first use and persists until :meth:`close`, so batch N+1 never pays
-    interpreter startup again.
+    worker function is module-level, and each worker rebuilds an engine
+    from the spec per chunk.  The pool spawns lazily on first use and
+    persists until :meth:`close`, so batch N+1 never pays interpreter
+    startup again.
 
-    The parent serves result-cache hits locally and dispatches only the
-    deduplicated misses; worker clip-tier stats are folded back into the
-    engine's cache accounting.
+    The parent claims every scenario in the engine's result tier (the
+    single-flight :meth:`~repro.service.SpecCache.claim`) and dispatches
+    only the claims it owns; hits, in-batch duplicates and keys another
+    caller is building wait on their owner's entry and count a hit.
+    Worker clip-tier stats are folded back into the engine's cache
+    accounting.
 
     Clips the parent already holds ship with the work units instead of
     being re-rendered in the worker.  ``clip_transport`` picks how:
@@ -446,139 +434,136 @@ class ProcessExecutor(Executor):
             return dict(self._resilience)
 
     def execute(self, engine, scenarios, cache_delta=None):
-        results = [None] * len(scenarios)
+        tier = engine.cache.results
         result_delta = None if cache_delta is None else cache_delta.results
-        # Parent-side memoization: serve hits here, dispatch each distinct
-        # miss exactly once (duplicate requests share one work unit and
-        # count as hits, matching the single-flight accounting of the
-        # in-process executors).  With the result tier disabled, nothing
-        # may be deduplicated either — a disabled cache means "recompute
-        # everything", exactly like serial/thread.
-        # Profiled runs never memoize (the engine's own contract): every
-        # request must really run so its phase breakdown exists.
-        memoize = engine.cache.results.capacity > 0 and not engine.profile
-        keys = [engine.result_key_for(s) if memoize else None for s in scenarios]
-        pending: dict[object, list[int]] = {}
+        results = [None] * len(scenarios)
+        # Every request claims its key in the result tier, exactly as
+        # Engine.run does, and only the claims this call owns dispatch:
+        # hits, in-batch duplicates and keys another caller is building
+        # wait on their owner's entry and count a hit.  A disabled tier
+        # makes every claim an owner, so everything recomputes.  Profiled
+        # requests leave the tier untouched (the engine contract): no
+        # claim, no phantom miss, and every one of them really runs.
+        owned: dict[int, tuple] = {}
+        waiting: list = []
+        units: list = []
         for index, scenario in enumerate(scenarios):
-            key = keys[index] if keys[index] is not None else ("solo", index)
-            duplicates = pending.get(key)
-            if duplicates is not None:
-                engine.cache.results.record_shared_hit(result_delta)
-                duplicates.append(index)
-                continue
-            if engine.profile:
-                # Profiled requests leave the result tier untouched (the
-                # engine contract): no lookup, no phantom miss accounting —
-                # BatchResult.cache must not depend on the executor.
-                pending[key] = [index]
-                continue
-            hit, value = engine.cache.results.peek(keys[index], delta=result_delta)
-            if hit:
-                results[index] = value
-            else:
-                pending[key] = [index]
+            if not engine.profile:
+                key = engine.result_key_for(scenario)
+                entry, owner = tier.claim(key, result_delta)
+                if not owner:
+                    waiting.append((index, entry))
+                    continue
+                owned[index] = (key, entry)
+            units.append((index, scenario))
 
-        unique = [(indices[0], scenarios[indices[0]]) for indices in pending.values()]
-        if unique:
-            capacities = (
-                engine.cache.clips.capacity,
-                engine.cache.results.capacity,
-            )
-            store = getattr(engine.cache, "store", None)
-            store_dir = None if store is None else str(store.root)
-            faults = getattr(engine, "faults", None)
-            fault_plan = None if faults is None else faults.plan.to_dict()
-            # One lease per distinct shared clip, acquired once per chunk
-            # it rides in and released as that chunk's future completes;
-            # the finally-destroy covers every failure path, so no
-            # /dev/shm segment can outlive this call.
-            leases: "dict[str, SharedClipLease]" = {}
-            # Self-healing dispatch: each round submits the outstanding
-            # chunks, collects results, and turns hard worker deaths
-            # (BrokenProcessPool / an expired chunk deadline) into a pool
-            # respawn plus re-dispatch of exactly the affected chunks.
-            # Attempts are bounded per chunk (== per work unit: a chunk's
-            # composition never changes), so a fault that kills every
-            # attempt surfaces as a typed WorkUnitRetryError.  In-unit
-            # exceptions propagate immediately: deterministic work would
-            # fail identically on replay.
-            rounds = [(chunk, 1) for chunk in _chunk_by_clip(unique, self.workers)]
-            try:
-                while rounds:
-                    pool = self._ensure_pool()
-                    dispatched: list = []
-                    failed: list = []
-                    pool_broken = False
-                    for chunk, attempts in rounds:
-                        clips, chunk_leases = self._collect_clips(
-                            engine, chunk, leases
+        def deliver(index, result):
+            results[index] = result
+            if index in owned:
+                tier.settle(*owned.pop(index), result)
+
+        try:
+            if units:
+                self._dispatch(engine, units, deliver, cache_delta)
+        except BaseException as exc:
+            # No waiter may hang on a claim this call will never settle.
+            for key, entry in owned.values():
+                tier.settle(key, entry, error=exc)
+            raise
+        for index, entry in waiting:
+            results[index] = entry.result()
+        return results
+
+    def _dispatch(self, engine, units, deliver, cache_delta):
+        """Run indexed scenarios on the pool, handing each result to
+        ``deliver(index, result)`` as its chunk completes."""
+        store = getattr(engine.cache, "store", None)
+        store_dir = None if store is None else str(store.root)
+        faults = getattr(engine, "faults", None)
+        fault_plan = None if faults is None else faults.plan.to_dict()
+        # One lease per distinct shared clip, acquired once per chunk
+        # it rides in and released as that chunk's future completes;
+        # the finally-destroy covers every failure path, so no
+        # /dev/shm segment can outlive this call.
+        leases: "dict[str, SharedClipLease]" = {}
+        # Self-healing dispatch: each round submits the outstanding
+        # chunks, collects results, and turns hard worker deaths
+        # (BrokenProcessPool / an expired chunk deadline) into a pool
+        # respawn plus re-dispatch of exactly the affected chunks.
+        # Attempts are bounded per chunk (== per work unit: a chunk's
+        # composition never changes), so a fault that kills every
+        # attempt surfaces as a typed WorkUnitRetryError.  In-unit
+        # exceptions propagate immediately: deterministic work would
+        # fail identically on replay.
+        rounds = [(chunk, 1) for chunk in _chunk_by_clip(units, self.workers)]
+        try:
+            while rounds:
+                pool = self._ensure_pool()
+                dispatched: list = []
+                failed: list = []
+                pool_broken = False
+                for chunk, attempts in rounds:
+                    clips, chunk_leases = self._collect_clips(
+                        engine, chunk, leases
+                    )
+                    try:
+                        future = pool.submit(
+                            _run_chunk,
+                            engine.spec,
+                            chunk,
+                            engine.cache.clips.capacity,
+                            engine.profile,
+                            clips,
+                            store_dir,
+                            fault_plan,
                         )
+                    except (BrokenProcessPool, RuntimeError):
+                        # The pool died under a previous submit (or
+                        # was broken on arrival): everything not yet
+                        # dispatched this round retries next round.
+                        for lease in chunk_leases:
+                            lease.release()
+                        pool_broken = True
+                        failed.append((chunk, attempts))
+                        continue
+                    dispatched.append((future, chunk, chunk_leases, attempts))
+                for future, chunk, chunk_leases, attempts in dispatched:
+                    try:
                         try:
-                            future = pool.submit(
-                                _run_chunk,
-                                engine.spec,
-                                chunk,
-                                capacities,
-                                engine.profile,
-                                clips,
-                                store_dir,
-                                fault_plan,
+                            chunk_results, clip_stats = future.result(
+                                timeout=self.chunk_timeout_s
                             )
-                        except (BrokenProcessPool, RuntimeError):
-                            # The pool died under a previous submit (or
-                            # was broken on arrival): everything not yet
-                            # dispatched this round retries next round.
-                            for lease in chunk_leases:
-                                lease.release()
+                        except (BrokenProcessPool, FutureTimeoutError):
                             pool_broken = True
                             failed.append((chunk, attempts))
                             continue
-                        dispatched.append((future, chunk, chunk_leases, attempts))
-                    for future, chunk, chunk_leases, attempts in dispatched:
-                        try:
-                            try:
-                                chunk_results, clip_stats = future.result(
-                                    timeout=self.chunk_timeout_s
-                                )
-                            except (BrokenProcessPool, FutureTimeoutError):
-                                pool_broken = True
-                                failed.append((chunk, attempts))
-                                continue
-                        finally:
-                            for lease in chunk_leases:
-                                lease.release()
-                        engine.cache.clips.merge_stats(
-                            clip_stats,
-                            delta=None if cache_delta is None else cache_delta.clips,
+                    finally:
+                        for lease in chunk_leases:
+                            lease.release()
+                    engine.cache.clips.merge_stats(
+                        clip_stats,
+                        delta=None if cache_delta is None else cache_delta.clips,
+                    )
+                    for index, result in chunk_results:
+                        deliver(index, result)
+                if pool_broken:
+                    self._respawn_pool(pool)
+                rounds = []
+                for chunk, attempts in failed:
+                    if attempts > self.max_unit_retries:
+                        raise WorkUnitRetryError(
+                            [
+                                scenario.name or f"scenario[{index}]"
+                                for index, scenario in chunk
+                            ],
+                            attempts,
                         )
-                        for index, result in chunk_results:
-                            key = (
-                                keys[index]
-                                if keys[index] is not None
-                                else ("solo", index)
-                            )
-                            engine.cache.results.put(keys[index], result)
-                            for duplicate in pending[key]:
-                                results[duplicate] = result
-                    if pool_broken:
-                        self._respawn_pool(pool)
-                    rounds = []
-                    for chunk, attempts in failed:
-                        if attempts > self.max_unit_retries:
-                            raise WorkUnitRetryError(
-                                [
-                                    scenario.name or f"scenario[{index}]"
-                                    for index, scenario in chunk
-                                ],
-                                attempts,
-                            )
-                        with self._pool_lock:
-                            self._resilience["redispatched_units"] += len(chunk)
-                        rounds.append((chunk, attempts + 1))
-            finally:
-                for lease in leases.values():
-                    lease.destroy()
-        return results
+                    with self._pool_lock:
+                        self._resilience["redispatched_units"] += len(chunk)
+                    rounds.append((chunk, attempts + 1))
+        finally:
+            for lease in leases.values():
+                lease.destroy()
 
     def _collect_clips(self, engine, chunk, leases):
         """Gather the clips this chunk needs that the parent already has.

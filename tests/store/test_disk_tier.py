@@ -223,7 +223,7 @@ class TestEngineWarmRestart:
 
         restarted = Engine(SystemSpec(), store=ArtifactStore(tmp_path / "store"))
         streamed = []
-        replayed = restarted.run_streaming(scenario, on_stats=streamed.append)
+        replayed = restarted.run(scenario, on_stats=streamed.append)
         assert streamed == list(original.outcome.frames)
         assert replayed.outcome.frames == original.outcome.frames
         assert restarted.cache.stats().results.disk_misses == 0
