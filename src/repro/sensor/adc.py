@@ -53,6 +53,8 @@ class ADCModel:
             raise ValueError("v_ref must be positive")
         if self.energy_per_conversion < 0:
             raise ValueError("energy_per_conversion must be non-negative")
+        if not self.noise_lsb >= 0.0:
+            raise ValueError("noise_lsb must be non-negative")
         # Lazily-created fallback noise stream (not a dataclass field:
         # equality/hashing stay spec-based).  One generator per instance,
         # *advanced* across calls — re-seeding per call would hand every

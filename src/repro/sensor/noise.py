@@ -47,6 +47,13 @@ class NoiseModel:
     prnu: float = 0.005
     seed: int = 2024
 
+    def __post_init__(self) -> None:
+        # A negative sigma would be silently ignored by the ``> 0.0``
+        # draw tests; ``not >=`` rejects NaN as well.
+        for name in ("read_noise", "shot_noise_scale", "dsnu", "prnu"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative")
+
     @classmethod
     def noiseless(cls) -> "NoiseModel":
         """An ideal sensor: every noise term disabled."""

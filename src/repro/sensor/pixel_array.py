@@ -53,7 +53,9 @@ def _scene_into(image: np.ndarray, out: np.ndarray) -> None:
         np.divide(image, 255.0, out=out)
         return
     np.copyto(out, image)
-    if out.size and (out.min() < -1e-9 or out.max() > 1.0 + 1e-9):
+    # Written as "not inside" so that NaN, which fails every comparison
+    # and propagates through min/max, is rejected too.
+    if out.size and not (out.min() >= -1e-9 and out.max() <= 1.0 + 1e-9):
         raise ValueError("float image values must lie in [0, 1]")
 
 

@@ -37,18 +37,30 @@ def block_reduce_mean(values: np.ndarray, k: int) -> np.ndarray:
     Rows/columns that do not fill a complete block are cropped, matching a
     sensor whose pooling groups are tiled from the top-left corner.
 
+    Each output is its block's elements left-folded in row-major order,
+    then divided by ``k * k``; the k² strided sub-grids are added whole.
+    NumPy's reshape-mean sums in this order on channel-last input with
+    C >= 2 (bit-identical), but pairwise per block row on 2-D input.
+
     Args:
         values: ``(H, W)`` or ``(H, W, C)`` array.
         k: block size.
 
     Returns:
-        ``(H // k, W // k[, C])`` array of block means.
+        ``(H // k, W // k[, C])`` array of block means, in the input's
+        dtype if it is floating and float64 otherwise (``np.mean``'s rule).
     """
     _check_pool_args(values.shape[0], values.shape[1], k)
     h = (values.shape[0] // k) * k
     w = (values.shape[1] // k) * k
-    blocks = values[:h, :w].reshape(h // k, k, w // k, k, *values.shape[2:])
-    return blocks.mean(axis=(1, 3))
+    floating = np.issubdtype(values.dtype, np.floating)
+    total = values[:h:k, :w:k].astype(values.dtype if floating else np.float64)
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                total += values[i:h:k, j:w:k]
+    total /= k * k
+    return total
 
 
 @lru_cache(maxsize=32)

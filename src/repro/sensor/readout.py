@@ -132,16 +132,17 @@ class SensorReadout:
 
     # -- internals -------------------------------------------------------------
 
-    def _rng(self) -> np.random.Generator:
-        self._readout_counter += 1
-        return np.random.default_rng((self.frame_seed, self._readout_counter))
-
     def _digitize(self, voltages: np.ndarray) -> tuple[np.ndarray, int]:
-        rng = self._rng()
-        noisy = voltages + self.array.noise.temporal_noise(
-            voltages, self.array.vdd, rng
-        )
-        return self.adc.digitize(noisy, rng=rng), int(noisy.size)
+        # ``(frame_seed, counter)`` names every read's stream; seeding costs
+        # more than converting a small crop, so build the generator only if
+        # a term draws (the ``> 0.0`` tests of temporal_noise and convert).
+        self._readout_counter += 1
+        noise = self.array.noise
+        rng = None
+        if max(noise.read_noise, noise.shot_noise_scale, self.adc.noise_lsb) > 0.0:
+            rng = np.random.default_rng((self.frame_seed, self._readout_counter))
+            voltages = voltages + noise.temporal_noise(voltages, self.array.vdd, rng)
+        return self.adc.digitize(voltages, rng=rng), int(voltages.size)
 
     # -- readout paths ------------------------------------------------------------
 

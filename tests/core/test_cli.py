@@ -125,6 +125,17 @@ class TestServiceCLI:
         assert main(["run", str(bad)]) == 2
         assert "spec.system.config.pool_k: expected int" in capsys.readouterr().err
 
+    def test_run_negative_noise_sigma_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {"system": {"noise": {"read_noise": -0.01}}, "scenarios": [{}]}
+            )
+        )
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "error: spec.system.noise: read_noise must be non-negative" in err
+
     def test_run_spec_without_scenarios(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"system": "hirise"}))

@@ -1,5 +1,8 @@
 """Property-based tests for the signal chain: pooling, ADC, grayscale, boxes."""
 
+import functools
+import operator
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -16,7 +19,60 @@ images = hnp.arrays(
 )
 
 
+@st.composite
+def pool_inputs(draw):
+    """A non-negative ``(H, W)`` or ``(H, W, C)`` input, ragged edges
+    allowed, either contiguous or a strided view, plus its block size."""
+    k = draw(st.integers(1, 8))
+    channels = draw(st.sampled_from([(), (1,), (2,), (3,), (4,)]))
+    height = draw(st.integers(k, 3 * k + 2))
+    width = draw(st.integers(k, 3 * k + 2))
+    step = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.random((height * step, width * step, *channels))
+    # Magnitudes spread over six decades, so a change of summation order
+    # shows in the last bits.
+    base *= 10.0 ** rng.integers(-3, 3, base.shape)
+    return base[::step, ::step], k
+
+
+def left_fold_block_mean(values, k):
+    """Oracle: each block's elements (per channel) left-folded in
+    row-major order, then divided by k * k."""
+    out = np.empty((values.shape[0] // k, values.shape[1] // k, *values.shape[2:]))
+    for p in range(out.shape[0]):
+        for q in range(out.shape[1]):
+            block = [
+                values[p * k + i, q * k + j] for i in range(k) for j in range(k)
+            ]
+            out[p, q] = functools.reduce(operator.add, block) / (k * k)
+    return out
+
+
+def reshape_block_mean(values, k):
+    """Oracle: NumPy's two-axis mean over the blocked reshape."""
+    h = (values.shape[0] // k) * k
+    w = (values.shape[1] // k) * k
+    blocks = values[:h, :w].reshape(h // k, k, w // k, k, *values.shape[2:])
+    return blocks.mean(axis=(1, 3))
+
+
 class TestPoolingProperties:
+    @given(pool_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_block_mean_is_the_row_major_left_fold(self, case):
+        values, k = case
+        got = block_reduce_mean(values, k)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, left_fold_block_mean(values, k))
+        # NumPy's reshape-mean sums 2-D and single-channel blocks pairwise,
+        # so it may differ in the last bits.  On non-negative input the two
+        # sums' relative errors are at most (k*k - 1) and ~log2(k*k) unit
+        # roundoffs, under 1e-14 together for k <= 8.
+        np.testing.assert_allclose(
+            got, reshape_block_mean(values, k), rtol=1e-14, atol=0
+        )
+
     @given(images, st.sampled_from([1, 2, 4]))
     @settings(max_examples=50, deadline=None)
     def test_block_mean_preserves_range(self, img, k):

@@ -94,6 +94,13 @@ class TestQuantization:
         with pytest.raises(ValueError):
             ADCModel(bits=17)
 
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+    def test_rejects_bad_noise_lsb(self, sigma):
+        # convert() draws only for noise_lsb > 0, so a negative sigma
+        # would otherwise be accepted and silently ignored.
+        with pytest.raises(ValueError, match="noise_lsb must be non-negative"):
+            ADCModel(noise_lsb=sigma)
+
 
 class TestEnergy:
     def test_paper_constant(self):

@@ -48,6 +48,12 @@ class TestNoiseModel:
         noise = model.temporal_noise(np.full((5, 5), 0.5), 1.0, rng)
         assert np.all(noise == 0.0)
 
+    @pytest.mark.parametrize("field", ["read_noise", "shot_noise_scale", "dsnu", "prnu"])
+    @pytest.mark.parametrize("sigma", [-0.01, float("nan")])
+    def test_rejects_bad_sigma(self, field, sigma):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            NoiseModel(**{field: sigma})
+
     def test_fixed_pattern_deterministic(self):
         model = NoiseModel(seed=7)
         g1, o1 = model.fixed_pattern_maps((4, 4, 3))

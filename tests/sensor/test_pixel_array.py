@@ -24,8 +24,15 @@ class TestFromImage:
         assert np.allclose(arr.voltages, 0.25)
 
     def test_rejects_out_of_range_floats(self):
-        with pytest.raises(ValueError):
-            PixelArray.from_image(np.full((2, 2, 3), 1.5))
+        # NaN fails every comparison, so a range test written as "below
+        # or above" passed it and it was later converted to code 0.
+        for bad in (1.5, -0.5, np.inf, np.nan):
+            frame = np.full((2, 2, 3), 0.5)
+            frame[1, 0, 2] = bad
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                PixelArray.from_image(frame)
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                PixelArray.from_image_batch([np.zeros((2, 2, 3)), frame])
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

@@ -146,3 +146,70 @@ class TestNoiseAndMismatch:
         a = SensorReadout(arr, frame_seed=4).read_full().images
         b = SensorReadout(arr, frame_seed=4).read_full().images
         assert np.array_equal(a, b)
+
+
+def nth_read(readout, voltages, n):
+    """What the n-th read of ``readout`` digitizes ``voltages`` to: one
+    generator keyed ``(frame_seed, n)`` draws the temporal noise, then the
+    ADC's input-referred noise."""
+    g = np.random.default_rng((readout.frame_seed, n))
+    noisy = voltages + readout.array.noise.temporal_noise(
+        voltages, readout.array.vdd, g
+    )
+    return readout.adc.digitize(noisy, rng=g)
+
+
+quiet = dict(read_noise=0.0, shot_noise_scale=0.0, dsnu=0.0, prnu=0.0)
+
+
+@pytest.mark.parametrize(
+    "noise, noise_lsb",
+    [
+        (NoiseModel(read_noise=2e-3, shot_noise_scale=2e-3, seed=5), 0.7),
+        (NoiseModel(**{**quiet, "read_noise": 2e-3}), 0.0),
+        (NoiseModel(**{**quiet, "shot_noise_scale": 2e-3}), 0.0),
+        (NoiseModel.noiseless(), 0.7),
+    ],
+    ids=["all", "read", "shot", "adc"],
+)
+class TestReadStream:
+    """Each noise term alone still draws the n-th read's stream."""
+
+    def test_pooled_read_then_roi_reads(self, gradient_image, noise, noise_lsb):
+        array = PixelArray.from_image(gradient_image, noise=noise)
+        ro = SensorReadout(array, adc=ADCModel(noise_lsb=noise_lsb), frame_seed=11)
+        pooled = ro.read_compressed(4)
+        pooled_v = ro.pooling.pool(array.voltages, 4, array.vdd)
+        assert np.array_equal(pooled.images, nth_read(ro, pooled_v, 1))
+        rois = ro.read_rois([(0, 0, 20, 12), (30, 16, 10, 10)])
+        assert len(rois.boxes) == 2
+        for n, (crop, box) in enumerate(zip(rois.images, rois.boxes), start=2):
+            assert np.array_equal(crop, nth_read(ro, array.region(*box), n))
+
+    def test_roi_reads_of_a_reused_frame(self, gradient_image, noise, noise_lsb):
+        array = PixelArray.from_image(gradient_image, noise=noise)
+        ro = SensorReadout(array, adc=ADCModel(noise_lsb=noise_lsb), frame_seed=3)
+        rois = ro.read_rois([(4, 2, 10, 6), (20, 10, 12, 14)])
+        assert len(rois.boxes) == 2
+        for n, (crop, box) in enumerate(zip(rois.images, rois.boxes), start=1):
+            assert np.array_equal(crop, nth_read(ro, array.region(*box), n))
+
+
+def test_noiseless_read_builds_no_generator(noiseless_array, monkeypatch):
+    built = []
+    default_rng = np.random.default_rng
+
+    def spy(*args):
+        built.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    ro = SensorReadout(noiseless_array, pooling=AnalogPoolingModel.ideal())
+    pooled = ro.read_compressed(4)
+    crops = ro.read_rois([(4, 2, 10, 6)])
+    assert built == []
+    pooled_v = ro.pooling.pool(noiseless_array.voltages, 4, noiseless_array.vdd)
+    assert np.array_equal(pooled.images, ro.adc.digitize(pooled_v))
+    assert np.array_equal(
+        crops.images[0], ro.adc.digitize(noiseless_array.region(4, 2, 10, 6))
+    )

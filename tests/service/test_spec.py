@@ -163,6 +163,13 @@ class TestValidation:
         with pytest.raises(SpecError, match=r"system\.noise.*read_nose"):
             SystemSpec.from_dict({"noise": {"read_nose": 0.1}})
 
+    @pytest.mark.parametrize("field", ["read_noise", "shot_noise_scale", "dsnu", "prnu"])
+    def test_negative_noise_sigma_named(self, field):
+        with pytest.raises(
+            SpecError, match=rf"system\.noise: {field} must be non-negative"
+        ):
+            SystemSpec.from_dict({"noise": {field: -0.01}})
+
     def test_service_spec_errors(self):
         with pytest.raises(SpecError, match=r"spec\.workers"):
             ServiceSpec.from_dict({"workers": "four"})

@@ -178,6 +178,14 @@ class TestRunnerModes:
             with pytest.raises(ValueError, match=message + got):
                 runner.run([frame, item], on_frame=on_frame)
 
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_nan_frame_rejected_at_every_window(self, clip, window):
+        bad = clip.frames[1].copy()
+        bad[40, 50, 0] = np.nan
+        runner, on_frame = hirise_runner(clip, window=window)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            runner.run([clip.frames[0], bad], on_frame=on_frame)
+
     def test_seed_mismatch_error_names_the_stream(self, clip):
         runner, _ = hirise_runner(clip, label="pedestrian/none")
         with pytest.raises(
