@@ -26,7 +26,6 @@ from .netlist import Circuit, NetlistError
 from .pooling_circuit import (
     AVG_NODE,
     PoolingCircuitSpec,
-    PoolingEnergyModel,
     build_pooling_circuit,
     build_resistive_average,
     ideal_shared_node_voltage,
@@ -60,7 +59,6 @@ __all__ = [
     "MOSFETParams",
     "NetlistError",
     "PoolingCircuitSpec",
-    "PoolingEnergyModel",
     "PWL",
     "Pulse",
     "Resistor",

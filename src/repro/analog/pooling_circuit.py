@@ -183,26 +183,3 @@ def _add_pulldown(circuit: Circuit, spec: PoolingCircuitSpec) -> None:
     circuit.add(Resistor("Rpull", AVG_NODE, "vneg", spec.r_unit))
     if spec.load_capacitance:
         circuit.add(Capacitor("Cload", AVG_NODE, "0", spec.load_capacitance))
-
-
-@dataclass(frozen=True)
-class PoolingEnergyModel:
-    """First-order energy of the analog pooling operation.
-
-    The paper reports the analog pooling circuitry consumes 1.71-91.4 nJ
-    per frame depending on pooling level and colorspace — several orders of
-    magnitude below the ADC energy.  Back-solving their range against the
-    number of pooled outputs per frame gives ≈25 fJ per pooled output,
-    which this model adopts as the default.
-
-    Attributes:
-        energy_per_output: joules consumed to settle one pooled output.
-    """
-
-    energy_per_output: float = 25e-15
-
-    def frame_energy(self, pooled_outputs: int) -> float:
-        """Energy (J) to produce ``pooled_outputs`` pooled samples."""
-        if pooled_outputs < 0:
-            raise ValueError("pooled_outputs must be non-negative")
-        return self.energy_per_output * pooled_outputs

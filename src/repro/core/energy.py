@@ -60,7 +60,9 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Energy coefficients of the sensing front end.
+    """Energy coefficients of the sensing front end: the one price list.
+    Sensor reads and the transfer ledger only count; this turns the counts
+    into joules.
 
     Attributes:
         adc_energy_per_conversion: joules per ADC sample.

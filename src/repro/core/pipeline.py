@@ -26,7 +26,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..sensor import ADCModel, AnalogPoolingModel, NoiseModel, PixelArray, SensorReadout
+from ..sensor import (
+    ADCModel,
+    AnalogPoolingModel,
+    NoiseModel,
+    PixelArray,
+    ReadoutResult,
+    SensorReadout,
+)
 from ..transfer import TransferLedger, LinkModel
 from .config import HiRISEConfig
 from .energy import EnergyBreakdown, EnergyModel
@@ -259,16 +266,16 @@ class HiRISEPipeline:
         readout: SensorReadout,
         conditioned: Sequence[ROI],
         ledger: TransferLedger,
-        dedup_contained: bool = False,
-    ) -> tuple[object, list[object]]:
+    ) -> tuple[ReadoutResult, list[object]]:
         """Stage-2 sensor work + task model: ROI readout, logged, classified.
 
-        Crops are served to the classifier through :func:`classify_crops`:
+        The sensor reads ``conditioned`` exactly as given, in order.  Crops
+        are served to the classifier through :func:`classify_crops`:
         bucketed by post-resize shape, one forward per bucket.
         """
         with profiled(self.profiler, "stage2"):
             with profiled(self.profiler, "read"):
-                stage2 = readout.read_rois(conditioned, dedup_contained=dedup_contained)
+                stage2 = readout.read_rois(conditioned)
             ledger.add_stage2_rois(stage2.data_bytes, len(stage2.boxes))
             with profiled(self.profiler, "classify"):
                 predictions = classify_crops(self.classifier, stage2.images)
@@ -310,37 +317,7 @@ class HiRISEPipeline:
             ]
 
         conditioned = self.condition_rois(candidates, array.width, array.height)
-        ledger.add_roi_descriptors(len(conditioned))
-
-        stage2, predictions = self.run_stage2(readout, conditioned, ledger)
-
-        energy = self.energy_model.from_conversions(
-            stage1_conversions=stage1.conversions,
-            stage2_conversions=stage2.conversions,
-            pooled_outputs=stage1.conversions,
-        )
-        # Eq. 2: the pooled frame is dropped before stage-2 crops arrive;
-        # crops are processed one at a time, so the largest crop bounds M2.
-        # Crop memory is modeled like every other image buffer: one stored
-        # sample per conversion (`.size` is an element count, not bytes).
-        sample_bytes = readout.adc.bytes_per_sample()
-        largest_crop = max((c.size for c in stage2.images), default=0) * sample_bytes
-        peak_memory = max(stage1.data_bytes, largest_crop)
-
-        return PipelineOutcome(
-            system="hirise",
-            array_resolution=array.resolution,
-            stage1_image=stage1.images,
-            rois=conditioned,
-            roi_crops=list(stage2.images),
-            predictions=predictions,
-            detections=detections,
-            ledger=ledger,
-            energy=energy,
-            stage1_conversions=stage1.conversions,
-            stage2_conversions=stage2.conversions,
-            peak_image_memory_bytes=peak_memory,
-        )
+        return self._stage2_outcome(readout, conditioned, ledger, stage1, detections)
 
     def run_stage2_only(
         self,
@@ -358,50 +335,68 @@ class HiRISEPipeline:
         Args:
             image: scene image or :class:`PixelArray` for this frame.
             rois: readout windows in array coordinates (e.g. tracker
-                predictions); they are clipped and size-filtered but *not*
-                padded (predicted windows carry their own safety margin).
+                predictions).  The selection encoder (:func:`prepare_rois`)
+                clips, size-filters and, with ``dedup_contained``, drops
+                contained windows, but does *not* pad them (predicted
+                windows carry their own safety margin); ``max_rois`` and
+                ``merge_roi_iou`` do not apply.
             frame_seed: temporal-noise seed for this exposure.
 
         Returns:
             :class:`PipelineOutcome` with an empty stage-1 image and zero
             stage-1 conversions/bytes.
         """
-        cfg = self.config
         readout = self.build_readout(image, frame_seed)
-        array = readout.array
-        conditioned = [
-            clipped
-            for roi in rois
-            if (clipped := roi.clip(array.width, array.height)) is not None
-            and clipped.w >= cfg.min_roi_px
-            and clipped.h >= cfg.min_roi_px
-        ]
-        ledger = TransferLedger(link=self.link)
-        ledger.add_roi_descriptors(len(conditioned))
-        stage2, predictions = self.run_stage2(
-            readout, conditioned, ledger, dedup_contained=cfg.dedup_contained
+        conditioned = prepare_rois(
+            rois,
+            readout.array.width,
+            readout.array.height,
+            min_side_px=self.config.min_roi_px,
+            drop_contained=self.config.dedup_contained,
         )
+        return self._stage2_outcome(readout, conditioned, TransferLedger(link=self.link))
 
+    def _stage2_outcome(
+        self,
+        readout: SensorReadout,
+        conditioned: list[ROI],
+        ledger: TransferLedger,
+        stage1: ReadoutResult | None = None,
+        detections: Sequence[object] = (),
+    ) -> PipelineOutcome:
+        """The frame's tail, shared by :meth:`run` and :meth:`run_stage2_only`:
+        feed the descriptors back, read and classify the windows, price the
+        conversions and bound Eq. 2 peak memory.  A reused frame passes no
+        ``stage1`` read."""
+        ledger.add_roi_descriptors(len(conditioned))
+        stage2, predictions = self.run_stage2(readout, conditioned, ledger)
+        stage1_conversions = 0 if stage1 is None else stage1.conversions
         energy = self.energy_model.from_conversions(
-            stage1_conversions=0,
+            stage1_conversions=stage1_conversions,
             stage2_conversions=stage2.conversions,
-            pooled_outputs=0,
+            pooled_outputs=stage1_conversions,
         )
-        largest = max(
-            (c.size for c in stage2.images), default=0
-        ) * readout.adc.bytes_per_sample()
+        # Eq. 2: the pooled frame is dropped before stage-2 crops arrive;
+        # crops are processed one at a time, so the largest crop bounds M2.
+        # Crop memory is modeled like every other image buffer: one stored
+        # sample per conversion (`.size` is an element count, not bytes).
+        sample_bytes = readout.adc.bytes_per_sample()
+        largest_crop = max((c.size for c in stage2.images), default=0) * sample_bytes
+        stage1_bytes = 0 if stage1 is None else stage1.data_bytes
+
         return PipelineOutcome(
             system="hirise",
-            array_resolution=array.resolution,
-            stage1_image=np.zeros((0, 0)),
+            array_resolution=readout.array.resolution,
+            stage1_image=np.zeros((0, 0)) if stage1 is None else stage1.images,
             rois=conditioned,
             roi_crops=list(stage2.images),
             predictions=predictions,
+            detections=list(detections),
             ledger=ledger,
             energy=energy,
-            stage1_conversions=0,
+            stage1_conversions=stage1_conversions,
             stage2_conversions=stage2.conversions,
-            peak_image_memory_bytes=largest,
+            peak_image_memory_bytes=max(stage1_bytes, largest_crop),
         )
 
 

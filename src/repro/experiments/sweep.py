@@ -178,7 +178,7 @@ class SweepSpec:
             on each cell's clip through the cache; enables the per-cell reduction
             factors the paper reports.  Baseline runs always use policy
             ``"none"``, ``window=1``, and no kept outcomes — the
-            full-frame per-frame reference.
+            full-frame per-frame reference, one cache key per clip.
         replicates: runs per grid cell; replicate ``r`` offsets the
             scenario seed by ``r`` (after axis overrides).
         executor: default executor name for :class:`SweepRunner`.
@@ -314,8 +314,9 @@ class SweepSpec:
         """The full-frame reference request for one cell's clip.
 
         Same source/frames/seeds — the identical rendered clip — but no
-        reuse policy, no batching, no kept outcomes, so the conventional
-        baseline (which supports none of them) can serve it.
+        reuse policy (the conventional baseline supports none), and
+        ``window=1`` and no kept outcomes, which change no row, so every
+        cell on one clip asks for one baseline key.
         """
         return dataclasses.replace(
             scenario,

@@ -5,7 +5,7 @@ Public surface: :class:`PixelArray`, :class:`NoiseModel`, :class:`ADCModel`,
 pooling primitives.
 """
 
-from .adc import ADC_ENERGY_45NM_8BIT, ADCModel
+from .adc import ADCModel
 from .grayscale import LUMA_WEIGHTS, analog_grayscale, digital_grayscale
 from .noise import NoiseModel
 from .pixel_array import PixelArray
@@ -20,12 +20,10 @@ from .readout import (
     SensorReadout,
     as_box,
     clip_box,
-    merge_covered_boxes,
 )
 from .timing import ReadoutTimingModel
 
 __all__ = [
-    "ADC_ENERGY_45NM_8BIT",
     "ADCModel",
     "AnalogPoolingModel",
     "BatchSensorReadout",
@@ -41,5 +39,4 @@ __all__ = [
     "clip_box",
     "digital_avg_pool",
     "digital_grayscale",
-    "merge_covered_boxes",
 ]

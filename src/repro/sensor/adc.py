@@ -1,14 +1,8 @@
-"""ADC model: quantization plus per-conversion energy.
+"""ADC model: a plain ideal mid-tread quantizer with optional
+input-referred noise.
 
-The paper budgets sensor energy almost entirely to analog-to-digital
-conversion, using the 45 nm 8-bit folding ADC of Choi et al. (ISOCC 2015):
-250 mW at 2 GS/s, i.e. **125 pJ per conversion**.  That single constant
-reproduces the paper's baseline energy exactly:
-
-    2560 x 1920 x 3 conversions x 125 pJ = 1.843 mJ   (Table 3 baseline)
-
-The converter model is otherwise a plain ideal mid-tread quantizer with
-optional input-referred noise.
+Reads count their conversions; :class:`repro.core.EnergyModel` prices them
+(the paper's 45 nm 8-bit ADC at 125 pJ per conversion).
 """
 
 from __future__ import annotations
@@ -17,9 +11,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Per-conversion energy of the 45nm 8-bit ADC used by the paper (ref [3]).
-ADC_ENERGY_45NM_8BIT = 125e-12
 
 #: Guards every instance's lazily-created fallback noise stream.  A module
 #: lock (instead of per-instance) keeps :class:`ADCModel` picklable;
@@ -34,15 +25,12 @@ class ADCModel:
     Attributes:
         bits: resolution; output codes span ``[0, 2**bits - 1]``.
         v_ref: full-scale reference voltage.
-        energy_per_conversion: joules per sample (default: the paper's
-            45 nm 8-bit ADC at 125 pJ).
         noise_lsb: sigma of input-referred noise, in LSBs.
         seed: seed for the noise stream.
     """
 
     bits: int = 8
     v_ref: float = 1.0
-    energy_per_conversion: float = ADC_ENERGY_45NM_8BIT
     noise_lsb: float = 0.0
     seed: int = 99
 
@@ -51,8 +39,6 @@ class ADCModel:
             raise ValueError("bits must be in [1, 16]")
         if self.v_ref <= 0:
             raise ValueError("v_ref must be positive")
-        if self.energy_per_conversion < 0:
-            raise ValueError("energy_per_conversion must be non-negative")
         if not self.noise_lsb >= 0.0:
             raise ValueError("noise_lsb must be non-negative")
         # Lazily-created fallback noise stream (not a dataclass field:
@@ -120,12 +106,6 @@ class ADCModel:
         return self.to_float(self.convert(voltages, rng=rng))
 
     # -- accounting -------------------------------------------------------------
-
-    def energy(self, n_conversions: int) -> float:
-        """Energy (J) to perform ``n_conversions`` samples."""
-        if n_conversions < 0:
-            raise ValueError("n_conversions must be non-negative")
-        return self.energy_per_conversion * n_conversions
 
     def bytes_per_sample(self) -> int:
         """Bytes needed to ship one converted sample over the link."""

@@ -24,11 +24,19 @@ def analog_grayscale(voltages: np.ndarray) -> np.ndarray:
         voltages: ``(H, W, 3)`` analog voltages.
 
     Returns:
-        ``(H, W)`` merged voltages.
+        ``(H, W)`` merged voltages, in the input's dtype if it is floating
+        and float64 otherwise.  The three planes are left-folded, then
+        divided by 3: the additions of ``mean(axis=2)``, in its order, but
+        without a reduction whose inner loop is three long.
     """
     if voltages.ndim != 3 or voltages.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3), got {voltages.shape}")
-    return voltages.mean(axis=2)
+    floating = np.issubdtype(voltages.dtype, np.floating)
+    merged = voltages[..., 0].astype(voltages.dtype if floating else np.float64)
+    merged += voltages[..., 1]
+    merged += voltages[..., 2]
+    merged /= 3
+    return merged
 
 
 def digital_grayscale(image: np.ndarray) -> np.ndarray:

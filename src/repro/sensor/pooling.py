@@ -23,6 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .grayscale import analog_grayscale
+
 
 def _check_pool_args(height: int, width: int, k: int) -> None:
     if k < 1:
@@ -150,10 +152,9 @@ class AnalogPoolingModel:
             raise ValueError(f"expected (H, W, 3), got {voltages.shape}")
         _check_pool_args(voltages.shape[0], voltages.shape[1], k)
 
-        if grayscale:
-            merged = block_reduce_mean(voltages.mean(axis=2), k)
-        else:
-            merged = block_reduce_mean(voltages, k)
+        merged = block_reduce_mean(
+            analog_grayscale(voltages) if grayscale else voltages, k
+        )
 
         # Residual nonlinearity applied to the normalized mean before the
         # affine map.

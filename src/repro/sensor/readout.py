@@ -6,15 +6,15 @@ This module is the sensor-side half of the HiRISE dataflow (paper Fig. 3):
   analog site and ship the whole frame.
 * :meth:`SensorReadout.read_compressed` — stage 1: analog grayscale/pooling
   first, then convert only the pooled outputs.
-* :meth:`SensorReadout.read_rois` — stage 2: the ROI *encoder*; given the
-  bounding boxes returned by the stage-1 model it selects only those rows/
-  columns of the analog array, converts them at full resolution, and ships
-  the crops.
+* :meth:`SensorReadout.read_rois` — stage 2: given the windows the
+  processor's selection encoder (:func:`repro.core.prepare_rois`) sent
+  back, it selects only those rows/columns of the analog array, converts
+  them at full resolution, and ships the crops.
 
-Every read returns a :class:`ReadoutResult` that accounts for conversions,
-bytes on the link, and energy — the quantities Tables 1/3 and Figs. 6-8 are
-built from.  Boxes are duck-typed: anything with ``x, y, w, h`` attributes
-(e.g. :class:`repro.core.ROI`) or a 4-tuple works, keeping this substrate
+Every read returns a :class:`ReadoutResult` counting conversions and bytes
+on the link, which the processor prices (:class:`repro.core.EnergyModel`).
+Boxes are duck-typed: anything with ``x, y, w, h`` attributes (e.g.
+:class:`repro.core.ROI`) or a 4-tuple works, keeping this substrate
 independent of the core package.
 """
 
@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..analog.pooling_circuit import PoolingEnergyModel
 from .adc import ADCModel
 from .noise import NoiseModel
 from .pixel_array import PixelArray
@@ -52,31 +51,6 @@ def clip_box(
     return x0, y0, x1 - x0, y1 - y0
 
 
-def merge_covered_boxes(
-    boxes: Sequence[tuple[int, int, int, int]]
-) -> list[tuple[int, int, int, int]]:
-    """Drop boxes fully contained in another box (duplicate readout).
-
-    The paper notes stage-2 transfer is "the intersection over the union of
-    all the ROI boxes": overlapping regions need not be read twice.  A full
-    rectangular-union readout would fragment crops, so the encoder model
-    implements the practical version — containment dedup — and the cost
-    model exposes the exact union area separately (see
-    :func:`repro.core.roi.union_area`).
-    """
-    kept: list[tuple[int, int, int, int]] = []
-    order = sorted(boxes, key=lambda b: b[2] * b[3], reverse=True)
-    for box in order:
-        x, y, w, h = box
-        contained = any(
-            x >= kx and y >= ky and x + w <= kx + kw and y + h <= ky + kh
-            for kx, ky, kw, kh in kept
-        )
-        if not contained:
-            kept.append(box)
-    return kept
-
-
 @dataclass
 class ReadoutResult:
     """One readout transaction from sensor to processor.
@@ -86,22 +60,13 @@ class ReadoutResult:
             a list of crops for ROI reads.
         conversions: number of ADC conversions performed.
         data_bytes: bytes shipped over the link (conversions x sample bytes).
-        adc_energy: joules spent in the ADC.
-        pooling_energy: joules spent in the analog pooling circuitry
-            (zero for non-pooled reads).
         boxes: for ROI reads, the clipped boxes actually read.
     """
 
     images: object
     conversions: int
     data_bytes: int
-    adc_energy: float
-    pooling_energy: float = 0.0
     boxes: list[tuple[int, int, int, int]] = field(default_factory=list)
-
-    @property
-    def total_energy(self) -> float:
-        return self.adc_energy + self.pooling_energy
 
 
 @dataclass
@@ -110,16 +75,14 @@ class SensorReadout:
 
     Attributes:
         array: the exposed analog pixel array.
-        adc: converter model (defaults to the paper's 8-bit / 125 pJ).
+        adc: converter model (defaults to the paper's 8-bit ADC).
         pooling: behavioral analog pooling model.
-        pooling_energy: energy model of the pooling circuit.
         frame_seed: seed for per-readout temporal noise.
     """
 
     array: PixelArray
     adc: ADCModel = field(default_factory=ADCModel)
     pooling: AnalogPoolingModel = field(default_factory=AnalogPoolingModel)
-    pooling_energy: PoolingEnergyModel = field(default_factory=PoolingEnergyModel)
     frame_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -153,7 +116,6 @@ class SensorReadout:
             images=image,
             conversions=n,
             data_bytes=n * self.adc.bytes_per_sample(),
-            adc_energy=self.adc.energy(n),
         )
 
     def read_compressed(self, k: int, grayscale: bool = False) -> ReadoutResult:
@@ -175,22 +137,18 @@ class SensorReadout:
             images=image,
             conversions=n,
             data_bytes=n * self.adc.bytes_per_sample(),
-            adc_energy=self.adc.energy(n),
-            pooling_energy=self.pooling_energy.frame_energy(n),
         )
 
-    def read_rois(
-        self,
-        rois: Iterable[object],
-        dedup_contained: bool = True,
-    ) -> ReadoutResult:
-        """Stage 2: selective full-resolution readout of the given boxes.
+    def read_rois(self, rois: Iterable[object]) -> ReadoutResult:
+        """Stage 2: full-resolution readout of the given boxes, as given.
+
+        Which windows to read is the processor's decision
+        (:func:`repro.core.prepare_rois`); the sensor reads each box in
+        order, clipped to the array (a box entirely off it reads nothing).
 
         Args:
             rois: ROI-like objects or ``(x, y, w, h)`` tuples, in *pixel
                 array* coordinates.
-            dedup_contained: drop boxes fully contained in another before
-                reading (the encoder's duplicate suppression).
 
         Returns:
             :class:`ReadoutResult` whose ``images`` is a list of RGB crops
@@ -201,8 +159,6 @@ class SensorReadout:
             box = clip_box(as_box(roi), self.array.width, self.array.height)
             if box is not None:
                 clipped.append(box)
-        if dedup_contained:
-            clipped = merge_covered_boxes(clipped)
 
         crops: list[np.ndarray] = []
         conversions = 0
@@ -215,7 +171,6 @@ class SensorReadout:
             images=crops,
             conversions=conversions,
             data_bytes=conversions * self.adc.bytes_per_sample(),
-            adc_energy=self.adc.energy(conversions),
             boxes=clipped,
         )
 

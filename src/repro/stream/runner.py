@@ -89,7 +89,7 @@ class StreamRunner:
 
     Attributes:
         pipeline: a :class:`~repro.core.HiRISEPipeline` (all modes) or a
-            :class:`~repro.core.ConventionalPipeline` (``window=1``, no
+            :class:`~repro.core.ConventionalPipeline` (any window, no
             reuse).
         reuse: optional reuse policy; when set, frames the policy grants
             skip stage 1 entirely and read only its predicted windows.
@@ -101,8 +101,8 @@ class StreamRunner:
             the hook the serving layer uses to stream ledgers to a client
             while the run is still in flight.  Called in stream order, on
             the thread driving the run — whatever the window size.
-        window: frames exposed per NumPy pass (HiRISE only).  Any window is
-            bit-identical to ``window=1``.
+        window: frames exposed per NumPy pass.  Any window is
+            bit-identical to ``window=1``, for either pipeline.
         label: scenario/source name used in error messages ("" = unnamed);
             the engine sets it to the scenario label.
     """
@@ -122,12 +122,11 @@ class StreamRunner:
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError(f"window: must be >= 1, got {self.window}")
-        if isinstance(self.pipeline, ConventionalPipeline):
-            if self.reuse is not None or self.window > 1:
-                raise ValueError(
-                    "reuse/windowing are HiRISE features; the conventional "
-                    "baseline ships every frame in full"
-                )
+        if isinstance(self.pipeline, ConventionalPipeline) and self.reuse is not None:
+            raise ValueError(
+                "reuse is a HiRISE feature; the conventional baseline ships "
+                "every frame in full"
+            )
 
     def run(
         self,

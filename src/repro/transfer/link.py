@@ -9,10 +9,10 @@ The paper's Table 1 splits HiRISE traffic into three flows:
 
 A :class:`TransferLedger` accumulates these per frame so pipelines can
 report exactly the quantities of Fig. 7 and Table 3.  The :class:`LinkModel`
-optionally adds per-transaction overhead and per-byte energy for users who
-want a physical link (SPI/MIPI-flavored) rather than the paper's pure byte
-count (the defaults reproduce the paper: zero overhead, zero link energy —
-its energy analysis attributes everything to the ADC).
+optionally adds per-transaction overhead and a bandwidth for users who want
+a physical link (SPI/MIPI-flavored) rather than the paper's pure byte count
+(the default, zero overhead, reproduces the paper).  Link energy is priced
+by :class:`repro.core.EnergyModel`, not here.
 """
 
 from __future__ import annotations
@@ -40,13 +40,10 @@ class LinkModel:
     Attributes:
         per_transaction_overhead_bytes: header/trailer bytes added to each
             logical transfer (0 reproduces the paper's accounting).
-        energy_per_byte: joules per payload byte moved (0 = paper's model,
-            which folds transfer energy into the ADC count).
         bandwidth_bytes_per_s: optional link bandwidth for latency estimates.
     """
 
     per_transaction_overhead_bytes: int = 0
-    energy_per_byte: float = 0.0
     bandwidth_bytes_per_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -56,10 +53,6 @@ class LinkModel:
             raise ValueError(
                 f"link.per_transaction_overhead_bytes: must be >= 0, "
                 f"got {self.per_transaction_overhead_bytes}"
-            )
-        if not (self.energy_per_byte >= 0):
-            raise ValueError(
-                f"link.energy_per_byte: must be >= 0, got {self.energy_per_byte}"
             )
         if self.bandwidth_bytes_per_s is not None and not (
             self.bandwidth_bytes_per_s > 0
@@ -78,9 +71,6 @@ class LinkModel:
         if payload_bytes < 0 or n_transactions < 0:
             raise ValueError("invalid payload/transaction count")
         return payload_bytes + self.per_transaction_overhead_bytes * n_transactions
-
-    def energy(self, wire_bytes: int) -> float:
-        return self.energy_per_byte * wire_bytes
 
     def latency_s(self, wire_bytes: int) -> float | None:
         if self.bandwidth_bytes_per_s is None:
@@ -132,10 +122,6 @@ class TransferLedger:
         overhead).
         """
         return self.link.transfer_bytes(self.total_bytes, self.transactions)
-
-    @property
-    def link_energy(self) -> float:
-        return self.link.energy(self.wire_bytes)
 
     def breakdown(self) -> dict[str, int]:
         """Named byte counts, useful for tables."""

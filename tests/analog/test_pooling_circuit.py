@@ -7,7 +7,6 @@ from repro.analog import (
     DC,
     MNASolver,
     PoolingCircuitSpec,
-    PoolingEnergyModel,
     build_pooling_circuit,
     build_resistive_average,
     dc_operating_point,
@@ -15,6 +14,7 @@ from repro.analog import (
     invert_shared_node_voltage,
     pixels_per_pool,
 )
+from repro.core import EnergyModel
 
 
 class TestPixelsPerPool:
@@ -105,28 +105,18 @@ class TestTransistorCircuit:
         assert abs(early - final) > 1e-3  # not settled instantly
 
 
+def pooling_energy(pooled_outputs):
+    """The pooling circuit's price, from the one energy price list."""
+    return EnergyModel().from_conversions(0, 0, pooled_outputs).pooling
+
+
 class TestPoolingEnergyModel:
     def test_paper_range_lower_bound(self):
         """8x8 grayscale at 2560x1920 -> 76.8k outputs -> ~1.9 nJ."""
-        model = PoolingEnergyModel()
-        energy = model.frame_energy(2560 * 1920 // 64)
+        energy = pooling_energy(2560 * 1920 // 64)
         assert 1e-9 < energy < 3e-9
 
     def test_paper_range_upper_bound(self):
         """2x2 RGB at 2560x1920 -> 3.69M outputs -> ~92 nJ."""
-        model = PoolingEnergyModel()
-        energy = model.frame_energy(2560 * 1920 // 4 * 3)
+        energy = pooling_energy(2560 * 1920 // 4 * 3)
         assert 80e-9 < energy < 100e-9
-
-    def test_orders_of_magnitude_below_adc(self):
-        """The paper's claim: pooling energy negligible vs ADC."""
-        from repro.core import EnergyModel
-
-        pooled_outputs = 2560 * 1920 // 4 * 3
-        pooling = PoolingEnergyModel().frame_energy(pooled_outputs)
-        adc = EnergyModel().adc_energy_per_conversion * pooled_outputs
-        assert pooling < adc / 1000
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            PoolingEnergyModel().frame_energy(-1)

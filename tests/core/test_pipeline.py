@@ -28,6 +28,23 @@ def head_rois(small_scene):
     ]
 
 
+@pytest.fixture(scope="module")
+def nested_rois(head_rois):
+    """Head windows plus three more: ``(3, 3, 3, 3)`` nests in
+    ``(2, 2, 6, 6)``, which comes before the larger ``(40, 10, 20, 30)``
+    (out of area order)."""
+    extra = [(2, 2, 6, 6), (40, 10, 20, 30), (3, 3, 3, 3)]
+    return head_rois + [ROI(*box, 0.9, "head") for box in extra]
+
+
+def run_both_ways(image, rois):
+    """``(entry, outcome)`` for a stage-1 frame given ``rois`` and for a
+    reused frame reading them as predicted windows."""
+    pipeline = HiRISEPipeline(config=HiRISEConfig(pool_k=4))
+    yield "run", pipeline.run(image, rois=rois)
+    yield "run_stage2_only", pipeline.run_stage2_only(image, rois)
+
+
 class TestHiRISEConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -110,13 +127,11 @@ class TestHiRISEPipeline:
         assert out.stage1_image.ndim == 2
         assert out.stage1_conversions == 120 * 160
 
-    def test_roi_crops_full_resolution(self, scene_image, head_rois):
-        out = HiRISEPipeline(config=HiRISEConfig(pool_k=4)).run(
-            scene_image, rois=head_rois
-        )
-        assert len(out.roi_crops) == len(out.rois)
-        for roi, crop in zip(out.rois, out.roi_crops):
-            assert crop.shape == (roi.h, roi.w, 3)
+    def test_roi_crops_full_resolution(self, scene_image, nested_rois):
+        for entry, out in run_both_ways(scene_image, nested_rois):
+            assert len(out.roi_crops) == len(out.rois), entry
+            for roi, crop in zip(out.rois, out.roi_crops):
+                assert crop.shape == (roi.h, roi.w, 3), entry
 
     def test_crop_content_matches_scene(self, scene_image, head_rois):
         out = HiRISEPipeline(config=HiRISEConfig(pool_k=4)).run(
@@ -126,13 +141,13 @@ class TestHiRISEPipeline:
         expected = scene_image[roi.y : roi.y2, roi.x : roi.x2, :]
         assert np.max(np.abs(out.roi_crops[0] - expected)) < 1 / 255.0
 
-    def test_ledger_consistency(self, scene_image, head_rois):
-        out = HiRISEPipeline(config=HiRISEConfig(pool_k=4)).run(
-            scene_image, rois=head_rois
-        )
-        assert out.ledger.stage1_s2p == out.stage1_conversions  # 8-bit
-        assert out.ledger.stage2_s2p == out.stage2_conversions
-        assert out.ledger.stage1_p2s == len(out.rois) * 8
+    def test_ledger_consistency(self, scene_image, nested_rois):
+        for entry, out in run_both_ways(scene_image, nested_rois):
+            assert out.ledger.stage1_s2p == out.stage1_conversions, entry  # 8-bit
+            assert out.ledger.stage2_s2p == out.stage2_conversions, entry
+            # One descriptor per window the sensor reads, no more.
+            assert out.ledger.stage1_p2s == len(out.roi_crops) * 8, entry
+            assert out.ledger.stage1_p2s == len(out.rois) * 8, entry
 
     def test_energy_accounting(self, scene_image, head_rois):
         out = HiRISEPipeline(config=HiRISEConfig(pool_k=4)).run(

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core import EnergyModel
 from repro.ml.eval.boxes import iou_matrix
 from repro.sensor import ADCModel, AnalogPoolingModel, analog_grayscale, block_reduce_mean
 
@@ -34,6 +35,24 @@ def pool_inputs(draw):
     # shows in the last bits.
     base *= 10.0 ** rng.integers(-3, 3, base.shape)
     return base[::step, ::step], k
+
+
+@st.composite
+def voltage_views(draw):
+    """An ``(H, W, 3)`` float64 array: contiguous, Fortran-order, strided or
+    reversed, or a channel-reversed view."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.random((2 * height, 2 * width, 3))
+    base *= 10.0 ** rng.integers(-3, 3, base.shape)
+    views = {
+        "contiguous": lambda b: np.ascontiguousarray(b[:height, :width]),
+        "fortran": lambda b: np.asfortranarray(b[:height, :width]),
+        "strided": lambda b: b[::2, ::2],
+        "reversed": lambda b: b[::-2, ::-2],
+        "channels-reversed": lambda b: b[:height, :width, ::-1],
+    }
+    return views[draw(st.sampled_from(sorted(views)))](base)
 
 
 def left_fold_block_mean(values, k):
@@ -106,6 +125,13 @@ class TestPoolingProperties:
         assert np.all(gray >= img.min(axis=2) - 1e-12)
         assert np.all(gray <= img.max(axis=2) + 1e-12)
 
+    @given(voltage_views())
+    @settings(max_examples=200, deadline=None)
+    def test_analog_grayscale_is_the_channel_mean(self, voltages):
+        gray = analog_grayscale(voltages)
+        assert gray.dtype == np.float64
+        assert np.array_equal(gray, voltages.mean(axis=2))
+
     @given(images, st.sampled_from([1, 2]))
     @settings(max_examples=30, deadline=None)
     def test_grayscale_pool_commutes_for_ideal_circuit(self, img, k):
@@ -141,9 +167,11 @@ class TestADCProperties:
     @given(st.integers(0, 10_000_000))
     @settings(max_examples=30, deadline=None)
     def test_energy_nonnegative_and_linear(self, n):
-        adc = ADCModel()
-        assert adc.energy(n) >= 0
-        assert np.isclose(adc.energy(2 * n), 2 * adc.energy(n))
+        model = EnergyModel()
+        one = model.from_conversions(n, n, n)
+        two = model.from_conversions(2 * n, 2 * n, 2 * n)
+        assert one.total >= 0
+        assert np.isclose(two.total, 2 * one.total)
 
 
 # Box coordinates/sizes well away from float underflow: a 1e-269-sized box

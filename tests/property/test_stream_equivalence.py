@@ -68,6 +68,13 @@ def assert_streams_equal(got, oracle) -> None:
         assert a.stage1_conversions == b.stage1_conversions
         assert a.stage2_conversions == b.stage2_conversions
         assert a.ledger.total_bytes == b.ledger.total_bytes
+        # Each ROI describes its crop, and D1(P->S) books one descriptor
+        # per window read, on stage-1 and reused frames alike.
+        assert len(a.rois) == len(a.roi_crops)
+        assert all(
+            crop.shape[:2] == (roi.h, roi.w) for roi, crop in zip(a.rois, a.roi_crops)
+        )
+        assert a.ledger.stage1_p2s == 8 * len(a.rois)
 
 
 def oracle_stream(pipeline, policy, frames, frame_seeds=None, on_frame=None):

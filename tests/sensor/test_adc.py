@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sensor import ADC_ENERGY_45NM_8BIT, ADCModel
+from repro.core import ADC_ENERGY_PER_CONVERSION
+from repro.sensor import ADCModel
 
 
 class TestQuantization:
@@ -105,21 +106,7 @@ class TestQuantization:
 class TestEnergy:
     def test_paper_constant(self):
         """250 mW / 2 GS/s = 125 pJ per conversion."""
-        assert ADC_ENERGY_45NM_8BIT == pytest.approx(125e-12)
-
-    def test_paper_baseline_energy(self):
-        """2560x1920 RGB full conversion = 1.843 mJ (paper Table 3)."""
-        adc = ADCModel()
-        energy = adc.energy(2560 * 1920 * 3)
-        assert energy == pytest.approx(1.843e-3, rel=0.001)
-
-    def test_energy_linear(self):
-        adc = ADCModel()
-        assert adc.energy(1000) == pytest.approx(10 * adc.energy(100))
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            ADCModel().energy(-1)
+        assert ADC_ENERGY_PER_CONVERSION == pytest.approx(125e-12)
 
     def test_bytes_per_sample(self):
         assert ADCModel(bits=8).bytes_per_sample() == 1

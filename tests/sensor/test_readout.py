@@ -10,7 +10,6 @@ from repro.sensor import (
     PixelArray,
     SensorReadout,
     clip_box,
-    merge_covered_boxes,
 )
 
 
@@ -27,12 +26,6 @@ class TestFullRead:
     def test_image_matches_scene(self, readout, gradient_image):
         result = readout.read_full()
         assert np.max(np.abs(result.images - gradient_image)) < 1 / 255.0
-
-    def test_energy_consistent_with_adc(self, readout):
-        result = readout.read_full()
-        assert result.adc_energy == pytest.approx(
-            result.conversions * readout.adc.energy_per_conversion
-        )
 
     def test_bytes_equal_conversions_for_8bit(self, readout):
         result = readout.read_full()
@@ -63,11 +56,6 @@ class TestCompressedRead:
         expected = digital_avg_pool(gradient_image, 2)
         assert np.max(np.abs(result.images - expected)) < 1 / 255.0
 
-    def test_pooling_energy_accounted(self, readout):
-        result = readout.read_compressed(2)
-        assert result.pooling_energy > 0.0
-        assert result.pooling_energy < result.adc_energy
-
 
 class TestROIRead:
     def test_single_roi_crop(self, readout, gradient_image):
@@ -91,15 +79,11 @@ class TestROIRead:
         assert result.conversions == 0
 
     def test_contained_roi_deduplicated(self, readout):
-        result = readout.read_rois([(0, 0, 20, 20), (5, 5, 4, 4)])
-        assert len(result.boxes) == 1
-        assert result.boxes[0] == (0, 0, 20, 20)
-
-    def test_dedup_can_be_disabled(self, readout):
-        result = readout.read_rois(
-            [(0, 0, 20, 20), (5, 5, 4, 4)], dedup_contained=False
-        )
-        assert len(result.boxes) == 2
+        """Containment dedup is the processor's decision (``prepare_rois``):
+        the sensor reads nested boxes both, in the order given."""
+        result = readout.read_rois([(5, 5, 4, 4), (0, 0, 20, 20)])
+        assert result.boxes == [(5, 5, 4, 4), (0, 0, 20, 20)]
+        assert [c.shape for c in result.images] == [(4, 4, 3), (20, 20, 3)]
 
     def test_accepts_roi_objects(self, readout):
         from repro.core import ROI
@@ -117,16 +101,6 @@ class TestHelpers:
 
     def test_clip_box_gone(self):
         assert clip_box((200, 0, 5, 5), 100, 100) is None
-
-    def test_merge_covered_keeps_disjoint(self):
-        boxes = [(0, 0, 5, 5), (10, 10, 5, 5)]
-        assert sorted(merge_covered_boxes(boxes)) == sorted(boxes)
-
-    def test_merge_covered_drops_nested(self):
-        boxes = [(0, 0, 10, 10), (2, 2, 3, 3), (20, 0, 4, 4)]
-        kept = merge_covered_boxes(boxes)
-        assert (2, 2, 3, 3) not in kept
-        assert len(kept) == 2
 
 
 class TestNoiseAndMismatch:

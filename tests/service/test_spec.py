@@ -135,9 +135,16 @@ class TestValidation:
         runner, _ = engine._build_runner(scenario, clip)
         assert runner.window == 4
         assert runner.label == "pedestrian/none"
+        # The baseline takes any window; only reuse is refused, by label.
         conventional = Engine.from_spec({"system": {"system": "conventional"}})
-        with pytest.raises(SpecError, match=r"'pedestrian/none'.*conventional"):
-            conventional._build_runner(scenario, clip)
+        assert conventional._build_runner(scenario, clip)[0].window == 4
+        reuse = ScenarioSpec(
+            n_frames=4,
+            source=ComponentRef("pedestrian", {"resolution": [64, 48]}),
+            policy=ComponentRef("temporal-reuse"),
+        )
+        with pytest.raises(SpecError, match=r"'pedestrian/temporal-reuse'.*conventional"):
+            conventional._build_runner(reuse, clip)
 
     def test_component_ref_errors_named(self):
         with pytest.raises(SpecError, match=r"scenario\.source\.name.*missing"):

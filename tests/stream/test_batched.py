@@ -78,7 +78,6 @@ class TestBatchSensorReadout:
             assert np.array_equal(results[i].images, scalar.images)
             assert results[i].conversions == scalar.conversions
             assert results[i].data_bytes == scalar.data_bytes
-            assert results[i].adc_energy == scalar.adc_energy
 
     def test_grayscale_bit_identical(self, frames):
         batch = BatchSensorReadout.from_images(frames)

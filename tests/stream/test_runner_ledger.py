@@ -9,7 +9,7 @@ from repro.core import (
     HiRISEPipeline,
     ROI,
 )
-from repro.sensor import PixelArray
+from repro.sensor import NoiseModel, PixelArray
 from repro.stream import (
     FrameStats,
     StreamOutcome,
@@ -148,15 +148,22 @@ class TestRunnerModes:
         with pytest.raises(ValueError, match="conventional"):
             StreamRunner(ConventionalPipeline(), reuse=TemporalROIReuse())
 
-    def test_window_validation(self):
+    def test_window_validation(self, clip):
         pipeline = HiRISEPipeline()
         # Per the spec convention, the error names the offending field.
         with pytest.raises(ValueError, match=r"window: must be >= 1, got 0"):
             StreamRunner(pipeline, window=0)
         with pytest.raises(ValueError, match=r"window: must be >= 1, got -3"):
             StreamRunner(pipeline, window=-3)
-        with pytest.raises(ValueError, match="conventional"):
-            StreamRunner(ConventionalPipeline(), window=2)
+        # The baseline serves any window like window=1: one stream loop.
+        baseline = ConventionalPipeline(noise=NoiseModel(read_noise=0.002, seed=3))
+        per_frame, windowed = (
+            StreamRunner(baseline, window=w, keep_outcomes=True).run(clip.frames)
+            for w in (1, 3)
+        )
+        assert windowed.frames == per_frame.frames
+        for a, b in zip(windowed.outcomes, per_frame.outcomes, strict=True):
+            assert np.array_equal(a.stage1_image, b.stage1_image)
         # window composes with reuse.
         runner = StreamRunner(pipeline, reuse=TemporalROIReuse(), window=4)
         assert runner.window == 4

@@ -17,7 +17,6 @@ class TestLinkModel:
     def test_default_is_pure_bytes(self):
         link = LinkModel()
         assert link.transfer_bytes(1000, n_transactions=5) == 1000
-        assert link.energy(1000) == 0.0
 
     def test_overhead_per_transaction(self):
         link = LinkModel(per_transaction_overhead_bytes=8)
@@ -52,12 +51,8 @@ class TestLinkModel:
     def test_negative_overhead_and_energy_rejected(self):
         with pytest.raises(ValueError, match=r"link\.per_transaction_overhead"):
             LinkModel(per_transaction_overhead_bytes=-1)
-        with pytest.raises(ValueError, match=r"link\.energy_per_byte"):
-            LinkModel(energy_per_byte=-1e-9)
         with pytest.raises(ValueError, match=r"link\.per_transaction_overhead"):
             LinkModel(per_transaction_overhead_bytes=float("nan"))
-        with pytest.raises(ValueError, match=r"link\.energy_per_byte"):
-            LinkModel(energy_per_byte=float("nan"))
 
 
 class TestRoiDescriptors:
@@ -109,12 +104,6 @@ class TestTransferLedger:
         assert ledger.total_bytes == 0
         assert ledger.transactions == 0
         assert ledger.wire_bytes == 0
-        assert ledger.link_energy == 0.0
-
-    def test_link_energy(self):
-        ledger = TransferLedger(link=LinkModel(energy_per_byte=1e-9))
-        ledger.add_stage1_frame(1000)
-        assert ledger.link_energy == pytest.approx(1e-6)
 
 
 class TestPackets:
