@@ -155,8 +155,9 @@ def _build_readout(
     frame_seed: int,
     profiler: PhaseProfiler | None,
 ) -> SensorReadout:
-    """Bind a readout chain, exposing the scene first unless it is already
-    a :class:`PixelArray` (which records no ``expose`` span)."""
+    """Bind a readout chain, binding the scene to a :class:`PixelArray`
+    first unless it is one already (which records no ``expose`` span).
+    The reads expose what they read."""
     if isinstance(image_or_array, PixelArray):
         array = image_or_array
     else:
@@ -205,14 +206,14 @@ class HiRISEPipeline:
     # -- phases ------------------------------------------------------------------
     #
     # ``run()`` composes the methods below; callers that amortize work over
-    # many frames (``repro.stream``) expose a window at once and hand each
-    # frame's :class:`PixelArray` to ``run`` — or, under temporal ROI
+    # many frames (``repro.stream``) validate a window at once and hand
+    # each frame's :class:`PixelArray` to ``run`` — or, under temporal ROI
     # reuse, to ``run_stage2_only``.
 
     def build_readout(
         self, image: np.ndarray | PixelArray, frame_seed: int = 0
     ) -> SensorReadout:
-        """Expose the scene and bind this pipeline's readout chain to it."""
+        """Bind the scene and this pipeline's readout chain to it."""
         return _build_readout(
             image, self.config.adc_bits, self.noise, self.pooling_model,
             frame_seed, self.profiler,
@@ -290,8 +291,8 @@ class HiRISEPipeline:
         """Process one exposure end to end.
 
         Args:
-            image: scene image (``(H, W, 3)`` uint8/float) or an already
-                exposed :class:`PixelArray` (bound as is, not re-exposed).
+            image: scene image (``(H, W, 3)`` uint8/float) or a
+                :class:`PixelArray` (bound as is).
             rois: override the stage-1 detector with known ROIs (in array
                 coordinates); required when no detector is configured.
             frame_seed: temporal-noise seed for this exposure.

@@ -20,10 +20,33 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..codec import serializable
+
+
+@lru_cache(maxsize=4)
+def _fixed_pattern_maps(
+    model: "NoiseModel", shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(gain_map, offset_map)`` of one sensor instance, memoized.
+
+    Every exposure of a stream lands on the same silicon, and a window
+    exposure slices the maps, so they are drawn once per ``(model,
+    shape)`` key instead of once per exposure.  Cached arrays are shared
+    across calls, so they are marked read-only.  The LRU is small because
+    an entry is two full-frame maps (59 MB at 1280x960), and a stream or
+    a batch holds the pair it looked up, so eviction costs at most one
+    redraw per batch.
+    """
+    rng = np.random.default_rng(model.seed)
+    gain = 1.0 + model.prnu * rng.standard_normal(shape)
+    offset = model.dsnu * rng.standard_normal(shape)
+    for table in (gain, offset):
+        table.setflags(write=False)
+    return gain, offset
 
 
 @serializable("noise")
@@ -72,14 +95,12 @@ class NoiseModel:
     def fixed_pattern_maps(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic (gain_map, offset_map) for a sensor of ``shape``.
 
-        The maps depend only on ``seed`` and ``shape`` so that the same
+        The maps depend only on the model and ``shape`` so that the same
         sensor instance always exhibits the same pattern (that is what makes
-        it *fixed*-pattern noise).
+        it *fixed*-pattern noise); they are drawn once per key and returned
+        read-only.
         """
-        rng = np.random.default_rng(self.seed)
-        gain = 1.0 + self.prnu * rng.standard_normal(shape)
-        offset = self.dsnu * rng.standard_normal(shape)
-        return gain, offset
+        return _fixed_pattern_maps(self, tuple(shape))
 
     # -- temporal noise ---------------------------------------------------------
 

@@ -8,14 +8,17 @@ converts it.
 
 The optical model is deliberately simple and linear: a scene image with
 values in [0, 1] maps to voltages in [0, vdd] with per-pixel PRNU/DSNU
-fixed-pattern deviations applied once at exposure time.  Real sensors add
+fixed-pattern deviations applied at exposure time.  Real sensors add
 gamma and color filter array effects downstream of the ADC; those do not
 change any of the paper's comparisons, which all happen pre-demosaic.
+
+Exposure is on demand: an array validates its scene up front, then
+exposes only what a read asks for (the whole frame, or a ROI window),
+so a frame read only at its ROIs never pays a whole-frame exposure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,8 +30,7 @@ def _scene_shape(image: np.ndarray) -> tuple[int, int]:
     """``(H, W)`` of a scene image.
 
     Anything but an ``(H, W, 3)`` or ``(H, W)`` array is rejected, a
-    non-array frame (such as an already exposed :class:`PixelArray`)
-    included.
+    non-array frame (such as a :class:`PixelArray`) included.
     """
     if not isinstance(image, np.ndarray):
         raise ValueError(
@@ -39,49 +41,114 @@ def _scene_shape(image: np.ndarray) -> tuple[int, int]:
     return image.shape[:2]
 
 
-def _scene_into(image: np.ndarray, out: np.ndarray) -> None:
-    """Normalize one scene image to float64 in [0, 1], written into ``out``.
+def _check_scene(image: np.ndarray) -> None:
+    """Reject a scene whose values cannot become voltages.
 
-    ``out`` is one ``(H, W, 3)`` float64 slot of an exposure stack and
-    ``image`` has passed :func:`_scene_shape`.  uint8 values convert to
-    float64 before the divide by 255; float inputs cast exactly and must
-    already lie in [0, 1]; a 2-D image broadcasts across the channels.
+    ``image`` has passed :func:`_scene_shape`.  Only bool, integer and
+    floating dtypes are accepted.  uint8 always scales into [0, 1]; any
+    other scene must already lie in [0, 1].  The cast to float64 that
+    exposure makes is exact or monotone, so testing the scene's own
+    min and max tests the values exposure will scale.
     """
-    if image.ndim == 2:
-        image = image[:, :, None]
-    if image.dtype == np.uint8:
-        np.divide(image, 255.0, out=out)
+    if image.dtype.kind not in "biuf":
+        raise ValueError(
+            f"image dtype must be bool, integer or floating, got {image.dtype}"
+        )
+    if image.dtype == np.uint8 or not image.size:
         return
-    np.copyto(out, image)
     # Written as "not inside" so that NaN, which fails every comparison
     # and propagates through min/max, is rejected too.
-    if out.size and not (out.min() >= -1e-9 and out.max() <= 1.0 + 1e-9):
+    if not (float(image.min()) >= -1e-9 and float(image.max()) <= 1.0 + 1e-9):
         raise ValueError("float image values must lie in [0, 1]")
 
 
-@dataclass
+def _expose(
+    scene: np.ndarray,
+    vdd: float,
+    maps: tuple[np.ndarray, np.ndarray] | None,
+    rows: slice,
+    cols: slice,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Voltages of ``scene[rows, cols]``, written into ``out`` if given.
+
+    uint8 values convert to float64 before the divide by 255, other
+    dtypes cast to float64; a 2-D scene broadcasts across the channels.
+    Then scale by ``vdd``, apply the fixed-pattern ``maps`` (gain, then
+    offset) and clip to the rails.  Every step is elementwise and runs in
+    this order for any window, so a window's voltages equal the
+    whole-frame exposure sliced to it, bit for bit.
+    """
+    window = scene[rows, cols]
+    if window.ndim == 2:
+        window = window[:, :, None]
+    if out is None:
+        out = np.empty((window.shape[0], window.shape[1], 3))
+    if scene.dtype == np.uint8:
+        np.divide(window, 255.0, out=out)
+    else:
+        np.copyto(out, window)
+    out *= vdd
+    if maps is not None:
+        gain, offset = maps
+        out *= gain[rows, cols]
+        out += offset[rows, cols]
+    np.clip(out, 0.0, vdd, out=out)
+    return out
+
+
 class PixelArray:
     """Analog pixel voltages for one exposure.
 
+    Built from voltages (``PixelArray(voltages, vdd, noise)``), an array
+    holds them as given.  Built from a scene (:meth:`from_image`,
+    :meth:`from_image_batch`), it holds the validated scene and exposes
+    it on demand, as the sensor converts only what the processor asks
+    for: the whole frame on the first use of :attr:`voltages` (a pooled
+    or full read), or only the requested window when :meth:`region` (a
+    ROI read) runs before that.  Both give the same voltages.
+
     Attributes:
-        voltages: float64 array of shape ``(height, width, 3)`` in volts.
         vdd: full-scale voltage (a pixel seeing full-scale light sits at
             ``vdd``).
-        noise: the sensor's noise model (fixed-pattern part already applied
-            to ``voltages``; the temporal part is sampled at each readout).
+        noise: the sensor's noise model (fixed-pattern part applied at
+            exposure; the temporal part is sampled at each readout).
+        height, width: array size in pixels.
     """
 
-    voltages: np.ndarray
-    vdd: float = 1.0
-    noise: NoiseModel = field(default_factory=NoiseModel.noiseless)
-
-    def __post_init__(self) -> None:
-        if self.voltages.ndim != 3 or self.voltages.shape[2] != 3:
+    def __init__(
+        self,
+        voltages: np.ndarray,
+        vdd: float = 1.0,
+        noise: NoiseModel | None = None,
+    ) -> None:
+        if voltages.ndim != 3 or voltages.shape[2] != 3:
             raise ValueError(
-                f"voltages must have shape (H, W, 3), got {self.voltages.shape}"
+                f"voltages must have shape (H, W, 3), got {voltages.shape}"
             )
-        if self.vdd <= 0:
+        self._bind(voltages.shape[:2], vdd, noise, voltages=voltages)
+
+    def _bind(
+        self,
+        shape: tuple[int, int],
+        vdd: float,
+        noise: NoiseModel | None,
+        voltages: np.ndarray | None = None,
+        scene: np.ndarray | None = None,
+        maps: tuple[np.ndarray, np.ndarray] | None = None,
+        out: np.ndarray | None = None,
+    ) -> None:
+        """Set the state of an array of ``shape``: its voltages, or the
+        scene (with its maps and buffer) it exposes on demand."""
+        if vdd <= 0:
             raise ValueError("vdd must be positive")
+        self.vdd = vdd
+        self.noise = noise or NoiseModel.noiseless()
+        self.height, self.width = int(shape[0]), int(shape[1])
+        self._voltages: np.ndarray | None = voltages
+        # A scene-backed array's scene, fixed-pattern maps (None when
+        # noiseless) and the buffer its whole frame is exposed into.
+        self._scene, self._maps, self._out = scene, maps, out
 
     # -- constructors -----------------------------------------------------------
 
@@ -92,14 +159,16 @@ class PixelArray:
         vdd: float = 1.0,
         noise: NoiseModel | None = None,
     ) -> "PixelArray":
-        """Expose the array to a scene image (a batch of one).
+        """Bind the array to a scene image (a batch of one).
 
         Args:
-            image: ``(H, W, 3)`` or ``(H, W)`` array; uint8 images are
-                scaled by 1/255, float images must already be in [0, 1].
+            image: ``(H, W, 3)`` or ``(H, W)`` array of a bool, integer or
+                floating dtype; uint8 images are scaled by 1/255, others
+                must already be in [0, 1].  It is validated here and held
+                by reference, so it must not change before it is read.
             vdd: full-scale voltage.
             noise: noise model; fixed-pattern (PRNU gain / DSNU offset)
-                deviations are baked into the stored voltages here, because
+                deviations are part of every exposed voltage, because
                 they are properties of the silicon, not of a readout.
 
         Returns:
@@ -115,27 +184,28 @@ class PixelArray:
         noise: NoiseModel | None = None,
         out: np.ndarray | None = None,
     ) -> "list[PixelArray]":
-        """Expose N same-size scenes in one vectorized pass.
+        """Validate N same-size scenes and bind an array to each.
 
-        The fixed-pattern maps depend only on the noise seed and the frame
-        shape, so they are computed once and broadcast across the stack; all
-        other operations are elementwise, so every frame's voltages are the
-        same whatever the batch it is exposed in.
+        Every check runs on every frame before any array is returned:
+        shape, one resolution per batch, dtype, and range (NaN
+        included), so a bad frame fails its whole batch before any frame
+        of it is read.  Exposure waits for each array's first read.  The
+        fixed-pattern maps depend only on the noise model and the frame
+        shape, so the batch shares one memoized pair.
 
         Args:
             images: scene images, all of the same spatial size.
             vdd: full-scale voltage.
             noise: shared noise model (one sensor sees every frame).
-            out: optional preallocated ``(N, H, W, 3)`` float64 exposure
-                buffer (the stream runner reuses one across flushes).  The
-                scenes are written straight into it instead of a new
-                stack, so the caller owns its lifetime and must not
-                overwrite it while any returned :class:`PixelArray` is in
-                use.
+            out: optional ``(H, W, 3)`` float64 buffer that every array
+                of the batch exposes its whole frame into (the stream
+                runner keeps one).  An array's whole-frame voltages are
+                then valid only until another array exposes into the
+                same buffer, so the arrays must be read one at a time, in
+                order; a window exposed before that is its own array.
 
         Returns:
-            One :class:`PixelArray` per input frame, each a view into one
-            ``(N, H, W, 3)`` block.
+            One :class:`PixelArray` per input frame.
         """
         if not len(images):
             return []
@@ -144,32 +214,33 @@ class PixelArray:
         if len(shapes) > 1:
             raise ValueError("all frames in a batch must share one resolution")
         ((h, w),) = shapes
-        if out is None:
-            out = np.empty((len(images), h, w, 3))
-        elif out.shape != (len(images), h, w, 3) or out.dtype != np.float64:
+        if out is not None and (out.shape != (h, w, 3) or out.dtype != np.float64):
             raise ValueError(
-                f"out: expected a ({len(images)}, {h}, {w}, 3) float64 "
-                f"buffer, got shape {out.shape} dtype {out.dtype}"
+                f"out: expected a ({h}, {w}, 3) float64 buffer, got shape "
+                f"{out.shape} dtype {out.dtype}"
             )
-        for image, slot in zip(images, out):
-            _scene_into(image, slot)
-        out *= vdd
-        if not noise.is_noiseless():
-            gain, offset = noise.fixed_pattern_maps(out.shape[1:])
-            out *= gain
-            out += offset
-        np.clip(out, 0.0, vdd, out=out)
-        return [cls(voltages=v, vdd=vdd, noise=noise) for v in out]
+        for image in images:
+            _check_scene(image)
+        maps = None if noise.is_noiseless() else noise.fixed_pattern_maps((h, w, 3))
+        arrays = []
+        for image in images:
+            array = cls.__new__(cls)
+            array._bind((h, w), vdd, noise, scene=image, maps=maps, out=out)
+            arrays.append(array)
+        return arrays
+
+    @property
+    def voltages(self) -> np.ndarray:
+        """float64 ``(H, W, 3)`` voltages of the whole frame, exposed on
+        first use."""
+        if self._voltages is None:
+            whole = slice(None)
+            self._voltages = _expose(
+                self._scene, self.vdd, self._maps, whole, whole, self._out
+            )
+        return self._voltages
 
     # -- geometry -----------------------------------------------------------------
-
-    @property
-    def height(self) -> int:
-        return int(self.voltages.shape[0])
-
-    @property
-    def width(self) -> int:
-        return int(self.voltages.shape[1])
 
     @property
     def resolution(self) -> tuple[int, int]:
@@ -186,6 +257,9 @@ class PixelArray:
     def region(self, x: int, y: int, w: int, h: int) -> np.ndarray:
         """Analog voltages of an axis-aligned region (no bounds forgiveness).
 
+        A view of the whole frame once that is exposed; before that, only
+        the region is exposed, into an array of its own.
+
         Args:
             x, y: top-left corner in pixels.
             w, h: region width and height in pixels.
@@ -199,4 +273,7 @@ class PixelArray:
             raise ValueError(
                 f"region ({x},{y},{w},{h}) outside {self.width}x{self.height} array"
             )
-        return self.voltages[y : y + h, x : x + w, :]
+        rows, cols = slice(y, y + h), slice(x, x + w)
+        if self._voltages is None:
+            return _expose(self._scene, self.vdd, self._maps, rows, cols)
+        return self._voltages[rows, cols, :]

@@ -177,14 +177,13 @@ class SensorReadout:
 
 @dataclass
 class BatchSensorReadout:
-    """Per-frame readout chains over a stack of same-size exposures.
+    """Per-frame readout chains over a run of same-size exposures.
 
     Video streams expose one frame after another onto the *same* silicon:
     the fixed-pattern maps, pooling circuit and ADC are shared, and only
-    the scene and the temporal-noise stream differ per frame.  That makes
-    exposure — scaling and fixed-pattern application over the
-    full-resolution array — a single NumPy pass over an ``(N, H, W, 3)``
-    stack instead of a Python loop.
+    the scene and the temporal-noise stream differ per frame.  Binding a
+    run of frames validates every frame up front; each frame is then
+    exposed on demand by the read that needs it (see :class:`PixelArray`).
 
     Conversion stays per frame, on each frame's own random stream, so a
     frame that is never pooled costs no pooling: every readout here is
@@ -207,7 +206,7 @@ class BatchSensorReadout:
         vdd: float = 1.0,
         out: np.ndarray | None = None,
     ) -> "BatchSensorReadout":
-        """Expose a clip in one pass and bind per-frame readout chains.
+        """Validate a run of frames and bind per-frame readout chains.
 
         Args:
             frames: scene images, all of one resolution.
@@ -216,10 +215,11 @@ class BatchSensorReadout:
             pooling: behavioral pooling model (shared circuitry).
             frame_seeds: per-frame temporal seeds; defaults to ``range(N)``.
             vdd: full-scale voltage.
-            out: optional preallocated ``(N, H, W, 3)`` float64 exposure
-                buffer (see :meth:`PixelArray.from_image_batch`); the
-                stream runner reuses one across flushes so a steady-state
-                stream exposes with zero per-window allocation.
+            out: optional ``(H, W, 3)`` float64 buffer every frame exposes
+                its whole frame into, valid for one frame at a time (see
+                :meth:`PixelArray.from_image_batch`); the stream runner
+                reuses one, so a steady-state stream allocates no
+                whole-frame exposure.
         """
         arrays = PixelArray.from_image_batch(
             frames, vdd=vdd, noise=noise, out=out

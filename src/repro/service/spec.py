@@ -136,8 +136,9 @@ class ScenarioSpec:
             it on the frames they grant.
         keep_outcomes: retain full per-frame outcomes on the result
             (costs memory; needed for bit-identity audits).
-        window: frames exposed per NumPy pass; any window is bit-identical
-            to ``window=1``.  Composes with a reuse policy.
+        window: frames validated per flush, and so the most held at a
+            time; any window is bit-identical to ``window=1``.  Composes
+            with a reuse policy.  Exposure is on demand, per frame.
     """
 
     name: str = ""

@@ -3,17 +3,20 @@
 :class:`StreamRunner` turns the single-exposure pipelines into a video
 engine with one loop body for every window size and both pipelines:
 
-* **expose** — each flush of ``window`` frames (``window=1`` is a window of
-  one) is exposed in one vectorized NumPy pass
-  (:class:`~repro.sensor.BatchSensorReadout`) into a preallocated exposure
-  buffer, like a real sensor streaming exposures ahead of the processor;
+* **bind** — each flush of ``window`` frames (``window=1`` is a window of
+  one) is validated in one call
+  (:class:`~repro.sensor.BatchSensorReadout`), so a bad frame fails
+  before any frame of its window is served;
 * **serve** — each frame's :class:`~repro.sensor.PixelArray` then goes to
   ``pipeline.run``, or, when a reuse policy
   (:class:`~repro.stream.TemporalROIReuse`,
   :class:`~repro.stream.KeyframeReuse`) grants it, to
   ``pipeline.run_stage2_only``, which reads only the predicted ROI windows.
 
-So a frame is pooled and digitized only when it runs stage 1, exactly as
+A frame is exposed by the read that asks for it: a stage-1 frame exposes
+its whole frame into one ``(H, W, 3)`` buffer the runner reuses, frame
+after frame; a reused frame exposes only its windows.  So a frame is
+exposed whole, pooled and digitized only when it runs stage 1, exactly as
 the sensor converts only what the processor will use.
 
 Every run returns a :class:`~repro.stream.StreamOutcome` whose per-frame
@@ -101,8 +104,9 @@ class StreamRunner:
             the hook the serving layer uses to stream ledgers to a client
             while the run is still in flight.  Called in stream order, on
             the thread driving the run — whatever the window size.
-        window: frames exposed per NumPy pass.  Any window is
-            bit-identical to ``window=1``, for either pipeline.
+        window: frames validated per flush (the most held at a time).
+            Any window is bit-identical to ``window=1``, for either
+            pipeline.
         label: scenario/source name used in error messages ("" = unnamed);
             the engine sets it to the scenario label.
     """
@@ -113,8 +117,9 @@ class StreamRunner:
     on_stats: Callable[[FrameStats], None] | None = None
     window: int = 1
     label: str = ""
-    #: Reusable (window, H, W, 3) float64 exposure stack; allocated on the
-    #: first flush, re-used for every later window (and run).
+    #: Reusable (H, W, 3) float64 buffer each stage-1 frame exposes its
+    #: whole frame into; allocated on the first flush, re-used for every
+    #: later frame (and run).
     _expose_buf: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -142,11 +147,9 @@ class StreamRunner:
                 ``window`` frames are materialized at a time.
             frame_seeds: per-frame temporal-noise seeds (default: indices).
             on_frame: optional callback invoked with the frame index before
-                the frame's *processor-side* work — detector, stage 2 —
-                runs (stateful detectors, loggers).  The window's exposure
-                happens first, like a real sensor streaming exposures
-                ahead of the processor; per frame, the callback still
-                precedes the detector call.
+                the frame is served (stateful detectors, loggers): it
+                precedes the frame's exposure, its reads and its detector
+                call.  Only the window's validation runs earlier.
 
         Returns:
             :class:`StreamOutcome` with per-frame stats and totals.
@@ -173,24 +176,24 @@ class StreamRunner:
         return outcome
 
     def _exposure_buffer(self, chunk) -> np.ndarray:
-        """The preallocated slice the window's scenes are written into.
+        """The ``(H, W, 3)`` float64 buffer the window's frames expose into.
 
-        One ``(window, H, W, 3)`` float64 block lives for the runner's
-        lifetime; partial windows (the stream's tail) borrow a leading
-        slice.  A resolution change mid-stream simply reallocates.  A
-        frame that is not an image gets a buffer all the same, and
-        exposure rejects the frame itself.
+        One buffer lives for the runner's lifetime and each frame's
+        whole-frame exposure overwrites the last one's, which in-order
+        serving allows.  A resolution change mid-stream simply
+        reallocates.  A frame that is not an image gets a buffer all the
+        same, and binding rejects the frame itself.
         """
-        shape = (self.window, *np.shape(chunk[0][2])[:2], 3)
+        shape = (*np.shape(chunk[0][2])[:2], 3)
         if self._expose_buf is None or self._expose_buf.shape != shape:
             self._expose_buf = np.empty(shape, dtype=np.float64)
-        return self._expose_buf[: len(chunk)]
+        return self._expose_buf
 
     def _flush(self, chunk, on_frame, stream: StreamOutcome) -> None:
-        """Expose one window, then serve its frames in stream order."""
+        """Validate one window, then serve its frames in stream order."""
         pipeline, policy = self.pipeline, self.reuse
-        # One span per flush: the whole window is exposed in one pass.  The
-        # pipeline binds its own readout chain to each exposed array.
+        # One span per flush: it validates the window and binds a readout
+        # chain to each frame; each read exposes what it reads.
         with profiled(pipeline.profiler, "expose"):
             batch = BatchSensorReadout.from_images(
                 [frame for _, _, frame in chunk],

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import HiRISEConfig, HiRISEPipeline
+from repro.core import HiRISEConfig, HiRISEPipeline, prepare_rois
 from repro.sensor import NoiseModel
 from repro.service import (
     DETECTORS,
@@ -120,13 +120,12 @@ def _policy(name: str):
 
 
 @lru_cache(maxsize=16)
-def _clip(n_frames: int, seed: int, speed: float = 2.0):
+def _clip(n_frames: int, seed: int, speed: float = 2.0, **params):
     # speed=0.0 holds the walkers still, the friendliest case for reuse —
     # on tiny clips it is what lets grants actually fire inside a window
     # (moving walkers stay "unstable" for longer than the clip).
-    return pedestrian_clip(
-        n_frames=n_frames, resolution=(64, 48), seed=seed, speed=speed
-    )
+    params = {"resolution": (64, 48), **params}
+    return pedestrian_clip(n_frames=n_frames, seed=seed, speed=speed, **params)
 
 
 def _pipeline(clip):
@@ -194,6 +193,37 @@ class TestRunnerWindowEquivalence:
         oracle = _oracle(clip, policy="none", frame_seeds=None)
         got = _run(clip, window=5, policy="none", frame_seeds=None)
         assert_streams_equal(got, oracle)
+
+    @pytest.mark.parametrize("policy, clip_seed", [("temporal", 6), ("keyframe", 3)])
+    def test_nested_predicted_windows(self, policy, clip_seed):
+        """Crowded 320x240 clips, where a reused frame's predicted windows
+        nest and the selection encoder drops the contained one: the runner
+        reads exactly the windows the per-frame loop reads."""
+        clip = _clip(12, clip_seed, resolution=(320, 240), n_walkers=10)
+        reuse = _policy(policy)
+        proposed, propose = [], reuse.propose
+
+        def recording_propose():
+            proposed.append(propose())
+            return proposed[-1]
+
+        reuse.propose = recording_propose
+        pipeline, on_frame = _pipeline(clip)
+        oracle = oracle_stream(pipeline, reuse, clip.frames, on_frame=on_frame)
+
+        def windows(rois, drop_contained):
+            return prepare_rois(rois, 320, 240, drop_contained=drop_contained)
+
+        # The case covers nesting only while some reused frame has a
+        # contained window for prepare_rois to drop.
+        assert any(
+            len(windows(d.rois, True)) < len(windows(d.rois, False))
+            for d in proposed
+            if d.reuse
+        )
+        for window in (1, 5, 12):
+            got = _run(clip, window=window, policy=policy, frame_seeds=None)
+            assert_streams_equal(got, oracle)
 
     def test_buffer_reuse_across_runs(self):
         """Back-to-back runs on one runner (buffer already warm) stay

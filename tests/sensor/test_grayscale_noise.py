@@ -9,6 +9,7 @@ from repro.sensor import (
     analog_grayscale,
     digital_grayscale,
 )
+from repro.sensor.noise import _fixed_pattern_maps
 
 
 class TestGrayscale:
@@ -60,6 +61,24 @@ class TestNoiseModel:
         g2, o2 = model.fixed_pattern_maps((4, 4, 3))
         assert np.array_equal(g1, g2)
         assert np.array_equal(o1, o2)
+
+    def test_fixed_pattern_memo_is_read_only_and_bounded(self):
+        model = NoiseModel(seed=5)
+        rng = np.random.default_rng(model.seed)
+        want_gain = 1.0 + model.prnu * rng.standard_normal((6, 4, 3))
+        want_offset = model.dsnu * rng.standard_normal((6, 4, 3))
+        for _ in range(2):  # cold, then served from the memo
+            gain, offset = model.fixed_pattern_maps([6, 4, 3])
+            assert np.array_equal(gain, want_gain)
+            assert np.array_equal(offset, want_offset)
+        for table in (gain, offset):
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 0.0
+        maxsize = _fixed_pattern_maps.cache_info().maxsize
+        assert maxsize is not None
+        for side in range(1, maxsize + 4):
+            model.fixed_pattern_maps((side, 2, 3))
+        assert _fixed_pattern_maps.cache_info().currsize <= maxsize
 
     def test_gain_map_centered_at_one(self):
         model = NoiseModel(prnu=0.01, seed=3)

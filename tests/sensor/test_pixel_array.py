@@ -1,9 +1,12 @@
 """Tests for the analog pixel array."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.sensor import NoiseModel, PixelArray
+from repro.core import ROI, HiRISEPipeline
+from repro.sensor import BatchSensorReadout, NoiseModel, PixelArray
 
 
 class TestFromImage:
@@ -33,6 +36,29 @@ class TestFromImage:
                 PixelArray.from_image(frame)
             with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
                 PixelArray.from_image_batch([np.zeros((2, 2, 3)), frame])
+
+    @pytest.mark.parametrize(
+        "frame, dtype",
+        [
+            (np.full((2, 2, 3), 0.5 + 0.0j), "complex128"),
+            (np.full((2, 2, 3), 0.5, dtype=object), "object"),
+            (np.full((2, 2, 3), "a"), "<U1"),
+        ],
+    )
+    def test_rejects_non_numeric_frames(self, frame, dtype):
+        # Complex and object frames pass a min/max range test, so the
+        # dtype is checked first, by name.
+        message = f"image dtype must be bool, integer or floating, got {dtype}"
+        with pytest.raises(ValueError, match=message):
+            PixelArray.from_image(frame)
+        with pytest.raises(ValueError, match=message):
+            PixelArray.from_image_batch([np.zeros((2, 2, 3)), frame])
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.uint16, np.float16])
+    def test_bool_integer_and_float_frames_expose_as_float64(self, dtype):
+        frame = np.random.default_rng(1).integers(0, 2, (4, 6, 3))
+        arr = PixelArray.from_image(frame.astype(dtype), vdd=1.2)
+        assert np.array_equal(arr.voltages, frame * 1.2)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -97,3 +123,48 @@ class TestGeometry:
     def test_region_empty_rejected(self, noiseless_array):
         with pytest.raises(ValueError):
             noiseless_array.region(0, 0, 0, 4)
+
+
+class TestOnDemandExposure:
+    """A frame read only at its windows exposes only those windows."""
+
+    SHAPE = (240, 320, 3)
+    WINDOWS = [ROI(10, 20, 16, 24), ROI(100, 50, 30, 20)]
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel(seed=11)])
+    def test_stage2_only_allocates_no_whole_frame(self, noise):
+        scene = np.random.default_rng(3).random(self.SHAPE)
+        pipeline = HiRISEPipeline(noise=noise)
+        if noise is not None:
+            # The sensor's fixed pattern is drawn once and then shared.
+            noise.fixed_pattern_maps(self.SHAPE)
+        frame_bytes = scene.size * 8
+        tracemalloc.start()
+        try:
+            outcome = pipeline.run_stage2_only(scene, self.WINDOWS, frame_seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < frame_bytes / 8
+        assert sorted(c.shape for c in outcome.roi_crops) == [(20, 30, 3), (24, 16, 3)]
+
+    def test_shared_buffer_holds_only_stage1_frames(self):
+        rng = np.random.default_rng(4)
+        frames = [rng.random(self.SHAPE) for _ in range(2)]
+        noise = NoiseModel()
+        buf = np.full(self.SHAPE, np.nan)
+        batch = BatchSensorReadout.from_images(frames, noise=noise, out=buf)
+        pipeline = HiRISEPipeline(noise=noise)
+        reused = pipeline.run_stage2_only(batch.readouts[0].array, self.WINDOWS)
+        assert np.isnan(buf).all()  # the reused frame exposed its windows only
+        pipeline.run(batch.readouts[1].array, rois=self.WINDOWS, frame_seed=1)
+        want = PixelArray.from_image(frames[1], noise=noise).voltages
+        assert np.array_equal(buf, want)
+        want = pipeline.run_stage2_only(frames[0], self.WINDOWS)
+        for got, ref in zip(reused.roi_crops, want.roi_crops, strict=True):
+            assert np.array_equal(got, ref)
+
+    def test_rejects_a_mismatched_buffer(self):
+        stack = np.empty((1, 4, 4, 3))
+        with pytest.raises(ValueError, match=r"out: expected a \(4, 4, 3\) float64"):
+            PixelArray.from_image_batch([np.zeros((4, 4, 3))], out=stack)

@@ -12,6 +12,7 @@ from repro.sensor import (
     PixelArray,
     SensorReadout,
 )
+from repro.sensor.noise import _fixed_pattern_maps
 from repro.stream import StreamRunner, ground_truth_detector, pedestrian_clip
 
 
@@ -51,12 +52,6 @@ class TestExposureBatch:
 
     def test_empty_batch(self):
         assert PixelArray.from_image_batch([]) == []
-
-    def test_frames_are_views_of_one_block(self, frames):
-        batch = PixelArray.from_image_batch(frames)
-        base = batch[0].voltages.base
-        assert base is not None
-        assert all(a.voltages.base is base for a in batch)
 
 
 class TestBatchSensorReadout:
@@ -147,3 +142,44 @@ class TestRunnerBatchParity:
             assert [r.xywh for r in a.rois] == [r.xywh for r in b.rois]
             for ca, cb in zip(a.roi_crops, b.roi_crops):
                 assert np.array_equal(ca, cb)
+
+
+class TestFixedPatternDraws:
+    """One sensor has one fixed pattern: a stream draws its maps once."""
+
+    NOISE = NoiseModel(read_noise=0.002, prnu=0.01, dsnu=0.001, seed=4243)
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Counts generators seeded with the noise model's own seed (the
+        fixed-pattern draw; temporal reads seed with a tuple)."""
+        _fixed_pattern_maps.cache_clear()
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def spy(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        return lambda: seeds.count(self.NOISE.seed)
+
+    def test_windowed_stream_draws_once(self, draws):
+        clip = pedestrian_clip(n_frames=12, resolution=(128, 96), seed=2)
+        detect, on_frame = ground_truth_detector(clip)
+        pipeline = HiRISEPipeline(
+            detector=detect, config=HiRISEConfig(pool_k=4), noise=self.NOISE
+        )
+        StreamRunner(pipeline, window=4).run(clip.frames, on_frame=on_frame)
+        assert draws() == 1
+
+    def test_per_frame_pipeline_loop_draws_once(self, draws):
+        clip = pedestrian_clip(n_frames=5, resolution=(128, 96), seed=2)
+        detect, on_frame = ground_truth_detector(clip)
+        pipeline = HiRISEPipeline(
+            detector=detect, config=HiRISEConfig(pool_k=4), noise=self.NOISE
+        )
+        for index, frame in enumerate(clip.frames):
+            on_frame(index)
+            pipeline.run(frame, frame_seed=index)
+        assert draws() == 1

@@ -193,6 +193,19 @@ class TestRunnerModes:
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             runner.run([clip.frames[0], bad], on_frame=on_frame)
 
+    @pytest.mark.parametrize("window", [1, 3])
+    @pytest.mark.parametrize("dtype", [complex, object])
+    def test_non_numeric_frame_rejected_at_every_window(self, clip, window, dtype):
+        # Both dtypes pass a min/max range test; rejected by name, a bad
+        # frame fails its window before any frame of that window is served.
+        bad = clip.frames[1].astype(dtype)
+        rows = []
+        runner, on_frame = hirise_runner(clip, window=window, on_stats=rows.append)
+        message = f"image dtype must be bool, integer or floating, got {np.dtype(dtype)}"
+        with pytest.raises(ValueError, match=message):
+            runner.run([clip.frames[0], bad], on_frame=on_frame)
+        assert len(rows) == (1 if window == 1 else 0)
+
     def test_seed_mismatch_error_names_the_stream(self, clip):
         runner, _ = hirise_runner(clip, label="pedestrian/none")
         with pytest.raises(
