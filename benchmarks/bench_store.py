@@ -36,6 +36,7 @@ from conftest import env_flag
 
 from repro.bench import Table
 from repro.experiments import SweepSpec, run_sweep
+from repro.faults import FaultPlan, FaultSpec
 from repro.server import ReproServer, ServerClient
 from repro.service import Engine, ScenarioSpec, SystemSpec
 from repro.service.executor import ProcessExecutor
@@ -346,12 +347,23 @@ def test_shm_transport_microbench(emit):
     (os.cpu_count() or 1) < 2, reason="transport race needs >= 2 cores"
 )
 def test_shm_dispatch_beats_pickle(emit):
-    """Executor-level gate (b): shm dispatch beats pickle on large clips."""
+    """Executor-level gate (b): shm dispatch beats pickle on large clips.
+
+    The pickle side makes every ``share_clip`` fail (an ``shm.share``
+    fault at rate 1), so the executor pickles each clip into every chunk.
+    """
+    no_share = FaultPlan(
+        name="no-share",
+        seed=0,
+        faults=(FaultSpec("shm.share", "shm-attach-gone", rate=1.0),),
+    )
     walls = {}
     reference: list | None = None
     for transport in ("pickle", "shm"):
-        engine = Engine(SystemSpec())
-        with ProcessExecutor(workers=2, clip_transport=transport) as pool:
+        engine = Engine(
+            SystemSpec(), faults=no_share if transport == "pickle" else None
+        )
+        with ProcessExecutor(workers=2) as pool:
             # Untimed warmup: spawn the pool, render the clips into the
             # parent tier (workers render this round; the timed rounds
             # ship those rendered clips).

@@ -13,7 +13,8 @@ and Selective ROI.  The package provides:
   and mAP evaluation.
 * :mod:`repro.memory` — TFLite-Micro-style peak-SRAM/flash analyzer and a
   model zoo (MCUNetV2-like, MobileNetV2).
-* :mod:`repro.transfer` — sensor<->processor link accounting.
+* :mod:`repro.transfer` — the paper's three sensor<->processor flows, in
+  bytes.
 * :mod:`repro.core` — the HiRISE system: ROI algebra, the Table 1 cost
   model, the energy model, and end-to-end pipelines.
 * :mod:`repro.stream` — the video layer: stream runner, temporal and

@@ -16,7 +16,7 @@ and assigns MNA indices, while the numerical work lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .components import GROUND, Component
 
@@ -42,10 +42,6 @@ class Circuit:
             raise NetlistError(f"duplicate component name: {component.name!r}")
         self._components[component.name] = component
         return component
-
-    def add_all(self, components: Iterable[Component]) -> None:
-        for comp in components:
-            self.add(comp)
 
     def __iter__(self) -> Iterator[Component]:
         return iter(self._components.values())

@@ -4,8 +4,6 @@ from .config import HiRISEConfig
 from .costs import (
     CostBreakdown,
     StageCosts,
-    WORD_BITS,
-    WORDS_PER_ROI,
     conventional_costs,
     hirise_costs,
     hirise_stage1_costs,
@@ -54,8 +52,6 @@ __all__ = [
     "ROITracker",
     "Track",
     "StageCosts",
-    "WORD_BITS",
-    "WORDS_PER_ROI",
     "classify_crops",
     "compare",
     "comparison_report",

@@ -22,13 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..transfer import roi_descriptor_bytes
 from .roi import ROI, total_area, union_area
-
-#: Bits per ROI descriptor word in D1(P->S) (16-bit coordinates).
-WORD_BITS = 16
-
-#: Words per ROI descriptor (x, y, W, H).
-WORDS_PER_ROI = 4
 
 
 def _check_frame(n: int, m: int, p_adc: int) -> None:
@@ -106,11 +101,9 @@ def hirise_stage1_costs(
     )
 
 
-def roi_feedback_bits(n_rois: int, word_bits: int = WORD_BITS) -> int:
+def roi_feedback_bits(n_rois: int) -> int:
     """Table 1's ``D1(P->S) = j * (4 * Words)`` in bits."""
-    if n_rois < 0:
-        raise ValueError("n_rois must be non-negative")
-    return n_rois * WORDS_PER_ROI * word_bits
+    return 8 * roi_descriptor_bytes(n_rois)
 
 def hirise_stage2_costs(
     rois: Sequence[ROI] | Sequence[tuple[int, int]],

@@ -1,6 +1,6 @@
 """Sensor energy model (paper Sec. 4.4, Fig. 8, Table 3).
 
-The paper's energy accounting has exactly three components:
+The paper's energy accounting has two components:
 
 * **ADC conversions** at 125 pJ each (45 nm 8-bit ADC, ref [3]) — the
   dominant term.  The 2560x1920 RGB baseline is 14.75 M conversions
@@ -8,8 +8,11 @@ The paper's energy accounting has exactly three components:
 * **Analog pooling circuitry** — 1.71-91.4 nJ per frame, "several orders of
   magnitude smaller than ADC conversion"; modeled as 25 fJ per pooled
   output (back-solved from the paper's range).
-* **Link energy** — zero in the paper's model (folded into conversions);
-  exposed as a knob for users with a physical link model.
+
+The link carries no energy term of its own: the paper folds it into the
+conversions.  The frame prices below take their counts from Table 1
+(:mod:`repro.core.costs`), so the analytical and measured energies share
+one formula.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .costs import hirise_stage1_costs
-from .roi import ROI, total_area
+from .costs import conventional_costs, hirise_stage1_costs, hirise_stage2_costs
+from .roi import ROI
 
 #: Paper ref [3]: 250 mW at 2 GS/s -> 125 pJ per conversion.
 ADC_ENERGY_PER_CONVERSION = 125e-12
@@ -36,17 +39,15 @@ class EnergyBreakdown:
         stage2_adc: conversions of the ROI pixels (or the full frame for
             the baseline, stored here).
         pooling: analog pooling circuitry.
-        link: optional physical-link energy.
     """
 
     stage1_adc: float
     stage2_adc: float
     pooling: float = 0.0
-    link: float = 0.0
 
     @property
     def total(self) -> float:
-        return self.stage1_adc + self.stage2_adc + self.pooling + self.link
+        return self.stage1_adc + self.stage2_adc + self.pooling
 
     @property
     def total_mj(self) -> float:
@@ -67,12 +68,10 @@ class EnergyModel:
     Attributes:
         adc_energy_per_conversion: joules per ADC sample.
         pooling_energy_per_output: joules per analog pooled output.
-        link_energy_per_byte: joules per byte moved (0 = paper's model).
     """
 
     adc_energy_per_conversion: float = ADC_ENERGY_PER_CONVERSION
     pooling_energy_per_output: float = POOLING_ENERGY_PER_OUTPUT
-    link_energy_per_byte: float = 0.0
 
     def conventional_frame(self, n: int, m: int) -> EnergyBreakdown:
         """Baseline: convert and ship the entire RGB frame.
@@ -80,12 +79,7 @@ class EnergyModel:
         Args:
             n, m: pixel-array width/height.
         """
-        conversions = n * m * 3
-        return EnergyBreakdown(
-            stage1_adc=0.0,
-            stage2_adc=conversions * self.adc_energy_per_conversion,
-            link=conversions * self.link_energy_per_byte,
-        )
+        return self.from_conversions(0, conventional_costs(n, m).adc_conversions)
 
     def hirise_frame(
         self,
@@ -103,17 +97,9 @@ class EnergyModel:
             rois: stage-2 ROI set (objects or ``(W, H)`` tuples).
             grayscale: stage-1 channels merged in the analog domain.
         """
-        stage1 = hirise_stage1_costs(n, m, k, p_adc=8, grayscale=grayscale)
-        roi_list = [
-            r if isinstance(r, ROI) else ROI(0, 0, int(r[0]), int(r[1])) for r in rois
-        ]
-        stage2_conversions = 3 * total_area(roi_list)
-        link_bytes = stage1.adc_conversions + stage2_conversions
-        return EnergyBreakdown(
-            stage1_adc=stage1.adc_conversions * self.adc_energy_per_conversion,
-            stage2_adc=stage2_conversions * self.adc_energy_per_conversion,
-            pooling=stage1.adc_conversions * self.pooling_energy_per_output,
-            link=link_bytes * self.link_energy_per_byte,
+        pooled = hirise_stage1_costs(n, m, k, grayscale=grayscale).adc_conversions
+        return self.from_conversions(
+            pooled, hirise_stage2_costs(rois).adc_conversions, pooled_outputs=pooled
         )
 
     def from_conversions(
@@ -124,5 +110,4 @@ class EnergyModel:
             stage1_adc=stage1_conversions * self.adc_energy_per_conversion,
             stage2_adc=stage2_conversions * self.adc_energy_per_conversion,
             pooling=pooled_outputs * self.pooling_energy_per_output,
-            link=(stage1_conversions + stage2_conversions) * self.link_energy_per_byte,
         )

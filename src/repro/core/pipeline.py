@@ -34,7 +34,7 @@ from ..sensor import (
     ReadoutResult,
     SensorReadout,
 )
-from ..transfer import TransferLedger, LinkModel
+from ..transfer import TransferLedger
 from .config import HiRISEConfig
 from .energy import EnergyBreakdown, EnergyModel
 from .profiling import PhaseProfiler, profiled
@@ -187,7 +187,6 @@ class HiRISEPipeline:
         energy_model: energy coefficients.
         noise: sensor noise model baked into exposures.
         pooling_model: behavioral analog pooling model.
-        link: physical link model for the ledger.
         profiler: optional :class:`~repro.core.PhaseProfiler`; when set,
             every phase method records its wall-clock under the hot-path
             taxonomy (``expose``, ``stage1.read``, ``detect``,
@@ -200,7 +199,6 @@ class HiRISEPipeline:
     energy_model: EnergyModel = field(default_factory=EnergyModel)
     noise: NoiseModel | None = None
     pooling_model: AnalogPoolingModel | None = None
-    link: LinkModel = field(default_factory=LinkModel)
     profiler: PhaseProfiler | None = None
 
     # -- phases ------------------------------------------------------------------
@@ -277,7 +275,7 @@ class HiRISEPipeline:
         with profiled(self.profiler, "stage2"):
             with profiled(self.profiler, "read"):
                 stage2 = readout.read_rois(conditioned)
-            ledger.add_stage2_rois(stage2.data_bytes, len(stage2.boxes))
+            ledger.add_stage2_rois(stage2.data_bytes)
             with profiled(self.profiler, "classify"):
                 predictions = classify_crops(self.classifier, stage2.images)
         return stage2, predictions
@@ -301,7 +299,7 @@ class HiRISEPipeline:
             :class:`PipelineOutcome`.
         """
         readout = self.build_readout(image, frame_seed)
-        ledger = TransferLedger(link=self.link)
+        ledger = TransferLedger()
         stage1 = self.read_stage1(readout, ledger)
         array = readout.array
         detections: list[object] = []
@@ -355,7 +353,7 @@ class HiRISEPipeline:
             min_side_px=self.config.min_roi_px,
             drop_contained=self.config.dedup_contained,
         )
-        return self._stage2_outcome(readout, conditioned, TransferLedger(link=self.link))
+        return self._stage2_outcome(readout, conditioned, TransferLedger())
 
     def _stage2_outcome(
         self,
@@ -413,7 +411,6 @@ class ConventionalPipeline:
     adc_bits: int = 8
     energy_model: EnergyModel = field(default_factory=EnergyModel)
     noise: NoiseModel | None = None
-    link: LinkModel = field(default_factory=LinkModel)
     profiler: PhaseProfiler | None = None
 
     def run(
@@ -438,7 +435,7 @@ class ConventionalPipeline:
             image, self.adc_bits, self.noise, None, frame_seed, self.profiler
         )
         array = readout.array
-        ledger = TransferLedger(link=self.link)
+        ledger = TransferLedger()
 
         with profiled(self.profiler, "stage1"), profiled(self.profiler, "read"):
             full = readout.read_full()

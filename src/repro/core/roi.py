@@ -187,7 +187,7 @@ def merge_overlapping(rois: Sequence[ROI], iou_threshold: float = 0.5) -> list[R
 
     Used by the selection encoder to coalesce heavily-overlapping boxes
     into a single readout window (trading a little extra area for fewer
-    transactions).
+    windows).
     """
     if iou_threshold <= 0:
         raise ValueError("iou_threshold must be positive")

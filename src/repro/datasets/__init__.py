@@ -9,7 +9,6 @@ preserves the paper's comparisons.
 from .crowdhuman import crowdhuman_like, median_body_area_fraction, median_head_count
 from .dhdcampus import dhdcampus_like
 from .profiles import (
-    ALL_DETECTION_PROFILES,
     CROWDHUMAN_LIKE,
     DHDCAMPUS_LIKE,
     DatasetProfile,
@@ -20,7 +19,6 @@ from .scene import GroundTruthBox, Scene, SceneGenerator
 from .visdrone import visdrone_like
 
 __all__ = [
-    "ALL_DETECTION_PROFILES",
     "CANONICAL_SIZE",
     "CROWDHUMAN_LIKE",
     "DHDCAMPUS_LIKE",

@@ -107,5 +107,3 @@ VISDRONE_LIKE = DatasetProfile(
     background="aerial",
     head_boxes=False,
 )
-
-ALL_DETECTION_PROFILES = (CROWDHUMAN_LIKE, DHDCAMPUS_LIKE, VISDRONE_LIKE)

@@ -52,10 +52,6 @@ class MemoryReport:
     dtype_bytes: int = 1
 
     @property
-    def peak_sram_kb(self) -> float:
-        return self.peak_sram_bytes / 1024.0
-
-    @property
     def flash_kb(self) -> float:
         return self.flash_bytes / 1024.0
 

@@ -20,14 +20,12 @@ specs — and differ only in wall-clock behavior:
   imported module) — spawn does not inherit runtime registrations.
 
   Clips the parent already holds (memory tier, or promoted from the disk
-  store) ride along with the work units so workers skip rendering: by
-  default over one ``multiprocessing.shared_memory`` segment per distinct
-  clip that every worker maps (:mod:`repro.store.shm`), falling back to
-  plain pickling for ragged clips; ``clip_transport`` / the
-  ``REPRO_CLIP_TRANSPORT`` env var select ``"shm"``, ``"pickle"``, or
-  ``"none"`` (render in the worker, the pre-store behavior).  When the
-  engine cache has a disk store attached, workers open the same store
-  root, so their renders persist too.  Results persist once, through the
+  store) ride along with the work units so workers skip rendering: over
+  one ``multiprocessing.shared_memory`` segment per distinct clip that
+  every worker maps (:mod:`repro.store.shm`), falling back to plain
+  pickling when a clip cannot be shared.  When the engine cache has a
+  disk store attached, workers open the same store root, so their
+  renders persist too.  Results persist once, through the
   parent: it claims every scenario in the engine's result tier, ships
   only the builds it owns, and settles each with the worker's result.
 
@@ -42,7 +40,6 @@ from __future__ import annotations
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
 from threading import Lock
@@ -57,9 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
 #: Executor names a spec/CLI can select, in documentation order.
 EXECUTOR_NAMES = ("serial", "thread", "process")
 
-#: How :class:`ProcessExecutor` ships parent-held clips to its workers.
-CLIP_TRANSPORTS = ("shm", "pickle", "none")
-
 
 class WorkUnitRetryError(RuntimeError):
     """A work unit's retry budget is exhausted: its worker kept dying.
@@ -67,9 +61,9 @@ class WorkUnitRetryError(RuntimeError):
     Raised by :class:`ProcessExecutor` when re-dispatching after pool
     respawns has failed ``attempts`` times for the same chunk of work
     units.  Deterministic failures inside a unit (exceptions) propagate
-    as themselves — only hard worker deaths (``BrokenProcessPool``, a
-    chunk deadline) are retried, so reaching this error means the
-    environment, not the spec, is broken.
+    as themselves — only hard worker deaths (``BrokenProcessPool``) are
+    retried, so reaching this error means the environment, not the spec,
+    is broken.
 
     Attributes:
         labels: the affected work units' scenario labels.
@@ -339,19 +333,13 @@ class ProcessExecutor(Executor):
     accounting.
 
     Clips the parent already holds ship with the work units instead of
-    being re-rendered in the worker.  ``clip_transport`` picks how:
-
-    * ``"shm"`` (default) — one shared-memory segment per distinct clip;
-      every worker maps the same pages, refcounted by a
-      :class:`~repro.store.SharedClipLease` so the segment is unlinked
-      exactly when the last dispatched chunk completes (or on any
-      failure path).  Ragged clips fall back to pickling per clip.
-    * ``"pickle"`` — the clip is pickled into each work unit (one copy
-      per chunk); the comparison baseline ``bench_store`` races.
-    * ``"none"`` — ship nothing; workers render from specs (the
-      pre-store behavior).
-
-    The default comes from ``REPRO_CLIP_TRANSPORT`` when set.
+    being re-rendered in the worker, in one shared-memory segment per
+    distinct clip: every worker maps the same pages, refcounted by a
+    :class:`~repro.store.SharedClipLease` so the segment is unlinked
+    exactly when the last dispatched chunk completes (or on any failure
+    path).  A clip that cannot be shared (ragged frames, no shared memory
+    on the platform, an injected ``shm.share`` fault) is pickled into
+    each work unit instead.
 
     **Self-healing**: a dead worker (OOM kill, segfault, an injected
     ``worker-crash`` fault) breaks the whole pool —
@@ -362,41 +350,19 @@ class ProcessExecutor(Executor):
     retried unit's result is bit-identical to an undisturbed run.
     Exhausting the budget raises :class:`WorkUnitRetryError` naming the
     units; deterministic in-unit exceptions are never retried (they
-    would fail identically).  ``chunk_timeout_s`` (optional) treats a
-    chunk exceeding the deadline as a dead worker too — a sentinel
-    against wedged (not just dead) processes; the abandoned pool is shut
-    down without waiting.  :meth:`resilience_stats` reports respawns and
+    would fail identically).  :meth:`resilience_stats` reports respawns and
     re-dispatched units (surfaced by the daemon's ``stats``).
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: int = 1,
-        clip_transport: str | None = None,
-        max_unit_retries: int = 2,
-        chunk_timeout_s: float | None = None,
-    ):
+    def __init__(self, workers: int = 1, max_unit_retries: int = 2):
         super().__init__(workers)
-        if clip_transport is None:
-            clip_transport = os.environ.get("REPRO_CLIP_TRANSPORT") or "shm"
-        if clip_transport not in CLIP_TRANSPORTS:
-            raise ValueError(
-                f"clip_transport: unknown transport {clip_transport!r}; "
-                f"known transports: {list(CLIP_TRANSPORTS)}"
-            )
         if max_unit_retries < 0:
             raise ValueError(
                 f"max_unit_retries must be >= 0, got {max_unit_retries}"
             )
-        if chunk_timeout_s is not None and chunk_timeout_s <= 0:
-            raise ValueError(
-                f"chunk_timeout_s must be > 0 (or None), got {chunk_timeout_s}"
-            )
-        self.clip_transport = clip_transport
         self.max_unit_retries = max_unit_retries
-        self.chunk_timeout_s = chunk_timeout_s
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = Lock()
         self._resilience = {"respawns": 0, "redispatched_units": 0}
@@ -488,8 +454,8 @@ class ProcessExecutor(Executor):
         leases: "dict[str, SharedClipLease]" = {}
         # Self-healing dispatch: each round submits the outstanding
         # chunks, collects results, and turns hard worker deaths
-        # (BrokenProcessPool / an expired chunk deadline) into a pool
-        # respawn plus re-dispatch of exactly the affected chunks.
+        # (BrokenProcessPool) into a pool respawn plus re-dispatch of
+        # exactly the affected chunks.
         # Attempts are bounded per chunk (== per work unit: a chunk's
         # composition never changes), so a fault that kills every
         # attempt surfaces as a typed WorkUnitRetryError.  In-unit
@@ -530,10 +496,8 @@ class ProcessExecutor(Executor):
                 for future, chunk, chunk_leases, attempts in dispatched:
                     try:
                         try:
-                            chunk_results, clip_stats = future.result(
-                                timeout=self.chunk_timeout_s
-                            )
-                        except (BrokenProcessPool, FutureTimeoutError):
+                            chunk_results, clip_stats = future.result()
+                        except BrokenProcessPool:
                             pool_broken = True
                             failed.append((chunk, attempts))
                             continue
@@ -575,8 +539,7 @@ class ProcessExecutor(Executor):
         or promoted from the disk store — are shipped; anything else the
         worker renders itself, exactly as before.
         """
-        if self.clip_transport == "none":
-            return None, []
+        from ..store.shm import share_clip
         from .cache import clip_key
 
         clips: dict = {}
@@ -590,29 +553,24 @@ class ProcessExecutor(Executor):
             )
             if clip is None:
                 continue
-            if self.clip_transport == "shm":
-                lease = leases.get(raw_key)
-                if lease is not None and not lease.alive:
-                    # A previous dispatch round drained this lease to
-                    # zero when its chunk failed; the segment is already
-                    # unlinked, so a re-dispatch needs a fresh one.
-                    del leases[raw_key]
-                    lease = None
-                if lease is None:
-                    from ..store.shm import share_clip
-
-                    lease = share_clip(
-                        clip, faults=getattr(engine, "faults", None)
-                    )
-                    if lease is not None:
-                        leases[raw_key] = lease
+            lease = leases.get(raw_key)
+            if lease is not None and not lease.alive:
+                # A previous dispatch round drained this lease to zero
+                # when its chunk failed; the segment is already unlinked,
+                # so a re-dispatch needs a fresh one.
+                del leases[raw_key]
+                lease = None
+            if lease is None:
+                lease = share_clip(clip, faults=getattr(engine, "faults", None))
                 if lease is not None:
-                    clips[raw_key] = ("shm", lease.handle)
-                    chunk_leases.append(lease.acquire())
-                    continue
-                # Ragged/empty clip or no shared memory on this platform:
-                # fall through to pickling it into the work unit.
-            clips[raw_key] = ("pickle", clip)
+                    leases[raw_key] = lease
+            if lease is None:
+                # Ragged/empty clip, no shared memory on this platform, or
+                # an injected shm.share fault: pickle it into the work unit.
+                clips[raw_key] = ("pickle", clip)
+            else:
+                clips[raw_key] = ("shm", lease.handle)
+                chunk_leases.append(lease.acquire())
         return (clips or None), chunk_leases
 
     def close(self):

@@ -118,11 +118,6 @@ class TemporalROIReuse:
         if self.warmup < 2:
             raise ValueError("warmup must be >= 2 (stability needs two results)")
 
-    @property
-    def reuse_streak(self) -> int:
-        """Consecutive frames served from reuse since the last stage-1 run."""
-        return self._streak
-
     def reset(self) -> None:
         """Forget everything (stream boundary): tracks, stability, warmup.
 

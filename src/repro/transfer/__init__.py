@@ -1,22 +1,10 @@
-"""Sensor <-> processor transfer accounting."""
+"""Sensor <-> processor transfer accounting: the paper's three flows, in bytes."""
 
-from .link import (
-    LinkModel,
-    TransferLedger,
-    WORD_BYTES,
-    WORDS_PER_ROI,
-    roi_descriptor_bytes,
-)
-from .packets import PacketStats, packet_stats, roi_payload_bytes, split_into_mtu
+from .link import TransferLedger, WORD_BYTES, WORDS_PER_ROI, roi_descriptor_bytes
 
 __all__ = [
-    "LinkModel",
-    "PacketStats",
     "TransferLedger",
     "WORD_BYTES",
     "WORDS_PER_ROI",
-    "packet_stats",
     "roi_descriptor_bytes",
-    "roi_payload_bytes",
-    "split_into_mtu",
 ]

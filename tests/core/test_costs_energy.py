@@ -148,7 +148,7 @@ class TestEnergyModel:
 
     def test_share_sums_to_one(self):
         e = EnergyModel().hirise_frame(640, 480, 4, [(50, 50)])
-        total_share = sum(e.share(c) for c in ("stage1_adc", "stage2_adc", "pooling", "link"))
+        total_share = sum(e.share(c) for c in ("stage1_adc", "stage2_adc", "pooling"))
         assert total_share == pytest.approx(1.0)
 
     def test_from_conversions_consistent(self):

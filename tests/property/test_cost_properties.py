@@ -1,10 +1,15 @@
 """Property-based tests for the Table 1 cost model and energy model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    ROI,
+    ConventionalPipeline,
     EnergyModel,
+    HiRISEConfig,
+    HiRISEPipeline,
     conventional_costs,
     hirise_costs,
     hirise_stage1_costs,
@@ -104,3 +109,63 @@ class TestEnergyProperties:
         hirise = model.hirise_frame(n, m, k, [])
         base = model.conventional_frame(n, m)
         assert hirise.total < base.total
+
+
+#: Side of the grid cells the measured-pipeline windows are drawn in; one
+#: window per cell keeps them disjoint, so conditioning leaves them whole.
+CELL = 16
+
+
+@st.composite
+def measured_frames(draw):
+    """A small RGB frame, a pooling size and disjoint in-bounds windows."""
+    n = draw(st.integers(32, 96))
+    m = draw(st.integers(32, 96))
+    k = draw(st.sampled_from([1, 2, 4]))
+    cells = [(cx, cy) for cx in range(n // CELL) for cy in range(m // CELL)]
+    rois = []
+    for cx, cy in draw(st.lists(st.sampled_from(cells), unique=True, max_size=6)):
+        dx = draw(st.integers(0, CELL - 2))
+        dy = draw(st.integers(0, CELL - 2))
+        w = draw(st.integers(2, CELL - dx))
+        h = draw(st.integers(2, CELL - dy))
+        rois.append(ROI(cx * CELL + dx, cy * CELL + dy, w, h))
+    seed = draw(st.integers(0, 2**16))
+    image = np.random.default_rng(seed).integers(0, 256, (m, n, 3), dtype=np.uint8)
+    return image, k, rois
+
+
+class TestPipelinesMeasureTable1:
+    """What a pipeline run logs on its ledger, counts and prices is exactly
+    what Table 1 and the energy model predict for the same frame."""
+
+    @given(measured_frames())
+    @settings(max_examples=40, deadline=None)
+    def test_hirise_run_matches_table1(self, frame):
+        image, k, rois = frame
+        m, n = image.shape[:2]
+        outcome = HiRISEPipeline(config=HiRISEConfig(pool_k=k)).run(image, rois=rois)
+        assert sorted(r.xywh for r in outcome.rois) == sorted(r.xywh for r in rois)
+        sizes = [(r.w, r.h) for r in rois]
+        costs = hirise_costs(n, m, k, sizes, grayscale=False)
+        assert outcome.ledger.total_bytes * 8 == costs.hirise_transfer_bits
+        assert outcome.ledger.stage1_p2s * 8 == costs.feedback_bits
+        assert (
+            outcome.stage1_conversions + outcome.stage2_conversions
+            == costs.hirise_conversions
+        )
+        assert outcome.energy == EnergyModel().hirise_frame(n, m, k, sizes)
+
+    @given(measured_frames())
+    @settings(max_examples=20, deadline=None)
+    def test_conventional_run_matches_table1(self, frame):
+        image, _, rois = frame
+        m, n = image.shape[:2]
+        outcome = ConventionalPipeline().run(image, rois=rois)
+        costs = conventional_costs(n, m)
+        assert outcome.ledger.total_bytes * 8 == costs.data_transfer_bits
+        assert (
+            outcome.stage1_conversions + outcome.stage2_conversions
+            == costs.adc_conversions
+        )
+        assert outcome.energy == EnergyModel().conventional_frame(n, m)

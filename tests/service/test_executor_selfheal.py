@@ -125,10 +125,6 @@ class TestConstructor:
         with pytest.raises(ValueError, match="max_unit_retries"):
             ProcessExecutor(workers=1, max_unit_retries=-1)
 
-    def test_zero_timeout_rejected(self):
-        with pytest.raises(ValueError, match="chunk_timeout_s"):
-            ProcessExecutor(workers=1, chunk_timeout_s=0)
-
     def test_error_carries_labels_and_attempts(self):
         error = WorkUnitRetryError(["a", "b"], 3)
         assert tuple(error.labels) == ("a", "b")

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import HiRISEConfig
+from repro.faults import FaultPlan, FaultSpec
 from repro.service import (
     ComponentRef,
     Engine,
@@ -14,7 +15,6 @@ from repro.service import (
     SystemSpec,
 )
 from repro.service.cache import CacheStats, clip_key
-from repro.service.executor import CLIP_TRANSPORTS
 from repro.store import SEGMENT_PREFIX, ArtifactStore
 
 SYSTEM = SystemSpec(
@@ -56,8 +56,20 @@ def reference():
     return [engine.run(r) for r in requests()]
 
 
+#: Every ``share_clip`` call fails, so every chunk carries a pickled clip.
+NO_SHARE = FaultPlan(
+    name="no-share",
+    seed=0,
+    faults=(FaultSpec("shm.share", "shm-attach-gone", rate=1.0),),
+)
+
+
 def run_with_transport(transport, store=None, warm_clips=True):
-    engine = Engine(SYSTEM, store=store)
+    """Run :func:`requests` on a 2-worker pool.  ``"shm"`` shares the
+    parent's clips; ``"pickle"`` makes every share fail, so the executor
+    falls back to pickling them."""
+    faults = NO_SHARE if transport == "pickle" else None
+    engine = Engine(SYSTEM, store=store, faults=faults)
     if warm_clips:
         # Render the shared clips into the parent tiers so the executor
         # has something to ship.
@@ -65,26 +77,13 @@ def run_with_transport(transport, store=None, warm_clips=True):
             engine.run(spec)
         engine.cache.results.clear()  # force re-dispatch, keep the clips
     delta = CacheStats.zero()
-    with ProcessExecutor(workers=2, clip_transport=transport) as pool:
+    with ProcessExecutor(workers=2) as pool:
         results = pool.execute(engine, requests(), cache_delta=delta)
     return engine, results, delta
 
 
 class TestTransports:
-    def test_transport_names_constant(self):
-        assert CLIP_TRANSPORTS == ("shm", "pickle", "none")
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            ProcessExecutor(workers=1, clip_transport="carrier-pigeon")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CLIP_TRANSPORT", "pickle")
-        assert ProcessExecutor(workers=1).clip_transport == "pickle"
-        monkeypatch.delenv("REPRO_CLIP_TRANSPORT")
-        assert ProcessExecutor(workers=1).clip_transport == "shm"
-
-    @pytest.mark.parametrize("transport", CLIP_TRANSPORTS)
+    @pytest.mark.parametrize("transport", ("shm", "pickle"))
     def test_bit_identical_and_leak_free(self, transport, reference):
         before = segments()
         engine, results, delta = run_with_transport(transport)
@@ -92,10 +91,12 @@ class TestTransports:
             assert result.scenario == expected.scenario
             assert result.outcome.frames == expected.outcome.frames
             assert result.outcome.total_bytes == expected.outcome.total_bytes
+        if transport == "pickle":
+            # Each chunk's clip tried shared memory once, then pickled.
+            assert engine.faults.counters() == {"shm.share:shm-attach-gone": 2}
         # Shipped clips mean the workers never re-rendered: the folded-in
         # worker clip stats report hits, not builds.
-        if transport != "none":
-            assert delta.clips.misses == 0
+        assert delta.clips.misses == 0
         # No shared-memory segment outlives the executor.
         assert segments() == before
 
