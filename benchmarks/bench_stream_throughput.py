@@ -9,13 +9,14 @@ consumers use):
 * **conventional** — ship every full frame (the Fig. 2a baseline, streamed);
 * **hirise/frame** — the full two-stage HiRISE flow, one frame per Python
   iteration (``window=1``, the reference loop);
-* **hirise/window** — same flow, but each window of frames is exposed in
-  one NumPy pass into a preallocated exposure buffer (bit-identical by
-  contract);
+* **hirise/window** — same flow, but each window of frames is validated
+  in one pass and each frame is exposed on demand, by the read that asks
+  for it, into one reused exposure buffer (bit-identical by contract);
 * **hirise/reuse** — temporal ROI reuse: IoU-gated skipping of the pooled
   conversion *and* the stage-1 detector on stable frames;
-* **hirise/window+reuse** — the composition: the sensor exposes whole
-  windows ahead while the policy still skips stage 1 per frame.
+* **hirise/window+reuse** — the composition: whole windows are validated
+  ahead while the policy still skips stage 1 per frame, and a reused
+  frame exposes only the windows it reads.
 
 Checks enforced here (the streaming acceptance bar):
 

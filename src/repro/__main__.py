@@ -28,25 +28,27 @@ import argparse
 import sys
 
 
-def _open_store(store_dir):
-    """Build the optional on-disk store behind ``--store-dir`` (or None)."""
+def _open_store(store_dir, faults=None):
+    """Build the optional on-disk store behind ``--store-dir`` (or None),
+    armed with the process's one fault injector (``--fault-plan``)."""
     if store_dir is None:
         return None
     from .store import ArtifactStore
 
-    return ArtifactStore(store_dir)
+    return ArtifactStore(store_dir, faults=faults)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .faults import FaultPlanError
+    from .faults import FaultPlanError, as_injector
     from .service import Engine, EngineCache, SpecError
 
     if args.workers is not None and args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
     try:
-        engine = Engine.from_spec(args.spec, faults=args.fault_plan)
-        store = _open_store(args.store_dir)
+        faults = as_injector(args.fault_plan)
+        engine = Engine.from_spec(args.spec, faults=faults)
+        store = _open_store(args.store_dir, faults)
     except (SpecError, FaultPlanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -78,6 +80,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
+    from .faults import as_injector
     from .server import ReproServer
     from .service import SpecError
 
@@ -85,6 +88,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
     try:
+        faults = as_injector(args.fault_plan)
         server = ReproServer(
             args.spec,
             host=args.host,
@@ -93,8 +97,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             executor=args.executor,
             request_timeout_s=args.timeout,
-            store=_open_store(args.store_dir),
-            faults=args.fault_plan,
+            store=_open_store(args.store_dir, faults),
+            faults=faults,
         )
         server.start()
     except (SpecError, ValueError, OSError) as exc:
@@ -478,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--fault-plan", default=None,
         help="arm a deterministic fault-injection plan (path to a JSON "
-        "FaultPlan) on the daemon's reply/stream/worker sites; injected "
+        "FaultPlan) on the daemon's reply/stream/worker/store sites; injected "
         "fault counters show up under `repro request --stats`",
     )
 

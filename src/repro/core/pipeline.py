@@ -28,7 +28,6 @@ import numpy as np
 
 from ..sensor import (
     ADCModel,
-    AnalogPoolingModel,
     NoiseModel,
     PixelArray,
     ReadoutResult,
@@ -151,7 +150,6 @@ def _build_readout(
     image_or_array: np.ndarray | PixelArray,
     adc_bits: int,
     noise: NoiseModel | None,
-    pooling_model: AnalogPoolingModel | None,
     frame_seed: int,
     profiler: PhaseProfiler | None,
 ) -> SensorReadout:
@@ -168,7 +166,6 @@ def _build_readout(
     return SensorReadout(
         array=array,
         adc=ADCModel(bits=adc_bits, v_ref=array.vdd),
-        pooling=pooling_model or AnalogPoolingModel(),
         frame_seed=frame_seed,
     )
 
@@ -186,7 +183,6 @@ class HiRISEPipeline:
         config: system configuration.
         energy_model: energy coefficients.
         noise: sensor noise model baked into exposures.
-        pooling_model: behavioral analog pooling model.
         profiler: optional :class:`~repro.core.PhaseProfiler`; when set,
             every phase method records its wall-clock under the hot-path
             taxonomy (``expose``, ``stage1.read``, ``detect``,
@@ -198,7 +194,6 @@ class HiRISEPipeline:
     config: HiRISEConfig = field(default_factory=HiRISEConfig)
     energy_model: EnergyModel = field(default_factory=EnergyModel)
     noise: NoiseModel | None = None
-    pooling_model: AnalogPoolingModel | None = None
     profiler: PhaseProfiler | None = None
 
     # -- phases ------------------------------------------------------------------
@@ -213,8 +208,7 @@ class HiRISEPipeline:
     ) -> SensorReadout:
         """Bind the scene and this pipeline's readout chain to it."""
         return _build_readout(
-            image, self.config.adc_bits, self.noise, self.pooling_model,
-            frame_seed, self.profiler,
+            image, self.config.adc_bits, self.noise, frame_seed, self.profiler
         )
 
     def read_stage1(self, readout: SensorReadout, ledger: TransferLedger):
@@ -432,7 +426,7 @@ class ConventionalPipeline:
             :class:`PipelineOutcome`.
         """
         readout = _build_readout(
-            image, self.adc_bits, self.noise, None, frame_seed, self.profiler
+            image, self.adc_bits, self.noise, frame_seed, self.profiler
         )
         array = readout.array
         ledger = TransferLedger()

@@ -6,8 +6,11 @@ The resilience counterpart of PR 2's spec discipline: failures are
 ``worker-crash``, ``store-io-error``, ``shm-attach-gone``,
 ``socket-drop``, ``reply-delay`` — at named injection sites; a
 :class:`FaultInjector` executes that schedule deterministically (one
-seed, one schedule), and every fault-aware subsystem takes a ``faults=``
-knob or inherits the ambient ``REPRO_FAULT_PLAN`` plan (:mod:`.runtime`).
+seed, one schedule).  A plan is armed only by the ``faults=`` knob a
+caller hands to each fault-aware subsystem (:func:`as_injector` coerces
+it); nothing is read from the environment.  Each process fires one
+injector: a :class:`~repro.server.ReproServer` fires its engine's, and a
+process-pool worker keeps one per shipped plan for its whole life.
 
 What consumes it:
 
@@ -38,16 +41,9 @@ from .plan import (
     FaultSpec,
     load_fault_plan,
 )
-from .runtime import (
-    ENV_PLAN,
-    as_injector,
-    deactivate,
-    default_injector,
-    install,
-)
+from .runtime import as_injector
 
 __all__ = [
-    "ENV_PLAN",
     "FAULT_KINDS",
     "FAULT_SCOPES",
     "FAULT_SITES",
@@ -57,8 +53,5 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "as_injector",
-    "deactivate",
-    "default_injector",
-    "install",
     "load_fault_plan",
 ]

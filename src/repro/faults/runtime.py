@@ -1,43 +1,21 @@
-"""Process-wide fault-plan activation: the env hatch and the knob glue.
+"""The ``faults=`` knob glue: one coercion for every fault-aware constructor.
 
-Two ways a plan becomes active:
-
-* **explicitly** — every fault-aware constructor (``Engine``,
-  ``ReproServer``, ``ArtifactStore``, ``share_clip``/``attach_clip``)
-  takes a ``faults=`` knob; :func:`as_injector` coerces whatever the
-  caller holds (a plan, a plan dict, a JSON file path, an injector) into
-  one :class:`~repro.faults.FaultInjector`;
-* **ambiently** — ``REPRO_FAULT_PLAN`` (inline JSON, or a path to a
-  JSON file) activates a process-global injector that every ``faults=None``
-  construction falls back to via :func:`default_injector`.  Spawned
-  executor workers inherit the environment, so an env-activated plan
-  reaches them without any plumbing.
-
-:func:`install` / :func:`deactivate` set and clear the same global slot
-in-process (tests, embedding).  With neither knob nor env set,
-:func:`default_injector` returns ``None`` and every fault check is a
-single attribute test — the fault layer costs nothing when dormant.
+A plan is armed only by the ``faults=`` a caller hands down (``Engine``,
+``ReproServer``, ``ArtifactStore``, ``share_clip``/``attach_clip``);
+nothing is looked up from the environment or a process-global slot.
+:func:`as_injector` coerces whatever the caller holds (a plan, a plan
+dict, a JSON file path, inline JSON, an injector) into one
+:class:`~repro.faults.FaultInjector`.  With no plan, every fault check is
+a single ``None`` test — the fault layer costs nothing when dormant.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
 from pathlib import Path
 
 from .injector import FaultInjector
 from .plan import FaultPlan, FaultPlanError, load_fault_plan
-
-#: Environment variable naming the ambient plan: inline JSON (starts
-#: with ``{``) or a path to a plan file.
-ENV_PLAN = "REPRO_FAULT_PLAN"
-
-_lock = threading.Lock()
-_installed: FaultInjector | None = None
-#: Cache of the env-derived injector, keyed by the raw env value so a
-#: test that monkeypatches the variable gets a fresh (re-parsed) plan.
-_env_cache: tuple[str | None, FaultInjector | None] = (None, None)
 
 
 def as_injector(faults) -> FaultInjector | None:
@@ -45,8 +23,13 @@ def as_injector(faults) -> FaultInjector | None:
 
     Accepts ``None``, a :class:`FaultInjector`, a :class:`FaultPlan`, a
     plan dict, a JSON file path (``str``/``Path``), or an inline-JSON
-    string (starts with ``{`` — the same convention as ``REPRO_FAULT_PLAN``
-    and the ``--fault-plan`` CLI flag).
+    string (starts with ``{`` — the same convention as the
+    ``--fault-plan`` CLI flag).
+
+    Raises:
+        FaultPlanError: invalid inline JSON, or an unreadable or invalid
+            plan file — a chaos run that silently injects nothing would
+            pass for resilience, so a broken plan fails loudly.
     """
     if faults is None or isinstance(faults, FaultInjector):
         return faults
@@ -66,55 +49,3 @@ def as_injector(faults) -> FaultInjector | None:
         "faults: expected a FaultPlan, FaultInjector, plan dict, JSON "
         f"path, or None, got {faults!r}"
     )
-
-
-def install(faults) -> FaultInjector | None:
-    """Activate a plan process-wide (what ``faults=None`` falls back to).
-
-    Returns the installed injector; ``install(None)`` is
-    :func:`deactivate`.
-    """
-    global _installed
-    injector = as_injector(faults)
-    with _lock:
-        _installed = injector
-    return injector
-
-
-def deactivate() -> None:
-    """Clear the process-global injector (the env hatch stays live)."""
-    global _installed
-    with _lock:
-        _installed = None
-
-
-def default_injector() -> FaultInjector | None:
-    """The ambient injector: installed plan, else ``REPRO_FAULT_PLAN``.
-
-    Raises:
-        FaultPlanError: the env var is set but names an unreadable or
-            invalid plan — a chaos run that silently injects nothing
-            would pass for resilience, so a broken plan fails loudly.
-    """
-    global _env_cache
-    raw = os.environ.get(ENV_PLAN)
-    with _lock:
-        if _installed is not None:
-            return _installed
-        if not raw:
-            return None
-        cached_raw, cached = _env_cache
-        if cached_raw == raw:
-            return cached
-        if raw.lstrip().startswith("{"):
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FaultPlanError(
-                    f"{ENV_PLAN}: invalid inline JSON: {exc}"
-                ) from exc
-            injector = FaultInjector(FaultPlan.from_dict(data))
-        else:
-            injector = FaultInjector(load_fault_plan(raw))
-        _env_cache = (raw, injector)
-        return injector

@@ -50,7 +50,6 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from .. import __version__
 from ..faults.injector import InjectedFault
-from ..faults.runtime import as_injector, default_injector
 from ..service.engine import Engine
 from ..service.executor import Executor, make_executor
 from ..service.spec import ScenarioSpec, SpecError, coerce_service_spec, load_spec
@@ -106,11 +105,12 @@ _CONNECTION_IDS = itertools.count(1)
 class _Connection:
     """Per-client state: the socket, its reader, and a write lock.
 
-    The handler thread writes every reply to its own requests; the write
-    lock serializes whole frames against the other writers (a
-    non-draining shutdown's ``"shutting-down"`` errors, a fault closing
-    the socket) — frames must never interleave mid-line.  ``cid`` is this
-    connection's daemon-unique id, quoted in stderr diagnostics.
+    The handler thread is the only writer of its own requests' replies
+    (a request a non-draining shutdown cancels is answered there too);
+    the write lock serializes whole frames against the closers (a fault
+    or shutdown closing the socket) so a frame is never cut mid-line.
+    ``cid`` is this connection's daemon-unique id, quoted in stderr
+    diagnostics.
     """
 
     def __init__(self, sock: socket.socket):
@@ -189,11 +189,12 @@ class ReproServer:
             ``spec`` is an already-constructed engine, which brings its
             own cache).
         faults: a :class:`~repro.faults.FaultPlan` (or injector, dict, or
-            plan path) arming the daemon's ``server.reply`` /
-            ``server.stream`` injection sites and threaded into the
-            engine (and from there to executor workers).  ``None``
-            inherits the ambient ``REPRO_FAULT_PLAN`` plan; with neither,
-            injection is entirely dormant.
+            plan path) handed to the engine the daemon builds; the
+            daemon fires its ``server.reply`` / ``server.stream`` sites
+            on that one ``engine.faults`` (and the executor ships its
+            plan to workers).  An engine passed as ``spec`` brings its
+            own injector, so ``faults`` next to one is a
+            :class:`ValueError`.  ``None`` leaves injection dormant.
 
     Lifecycle: :meth:`start` binds and spawns the accept loop (the
     constructor does not touch the network); :meth:`shutdown` stops it —
@@ -216,20 +217,20 @@ class ReproServer:
     ):
         if queue_size < 1:
             raise ValueError(f"queue_size must be >= 1, got {queue_size}")
-        self.faults = (
-            as_injector(faults) if faults is not None else default_injector()
-        )
         if isinstance(spec, Engine):
+            if faults is not None:
+                raise ValueError(
+                    "faults: an Engine brings its own injector; build it "
+                    "with Engine(..., faults=...) instead"
+                )
             self.engine = spec
-            if self.faults is None:
-                self.faults = spec.faults
             default_executor, default_workers = spec.executor, spec.workers
         else:
             if isinstance(spec, (str, Path)):
                 service = load_spec(spec)
             else:
                 service = coerce_service_spec(spec)
-            self.engine = Engine(service.system, store=store, faults=self.faults)
+            self.engine = Engine(service.system, store=store, faults=faults)
             default_executor, default_workers = service.executor, service.workers
         self.workers = workers if workers is not None else default_workers
         if self.workers < 1:
@@ -328,21 +329,16 @@ class ReproServer:
                 except OSError:
                     pass
         if not drain:
-            # Flush the queue: every unstarted job is cancelled and its
-            # client told why.  (Running jobs still finish below.)
+            # Flush the queue: every unstarted job is cancelled, and its
+            # handler thread tells the client why.  (Running jobs still
+            # finish below.)
             while True:
                 try:
                     job = self._queue.get_nowait()
                 except queue.Empty:
                     break
-                if job is not None and job.future.cancel():
-                    job.connection.send(
-                        ErrorResponse(
-                            id=job.request.id,
-                            code="shutting-down",
-                            message="server is shutting down; request cancelled",
-                        )
-                    )
+                if job is not None:
+                    job.future.cancel()
                 self._queue.task_done()
         # Wait for every admitted job to be taken AND completed.
         self._queue.join()
@@ -599,9 +595,10 @@ class ReproServer:
         spec's ``delay_s`` first; any other scheduled kind is a no-op at
         this site.
         """
-        if self.faults is None:
+        faults = self.engine.faults
+        if faults is None:
             return True
-        spec = self.faults.fire("server.reply")
+        spec = faults.fire("server.reply")
         if spec is None:
             return True
         if spec.kind == "reply-delay":
@@ -621,9 +618,10 @@ class ReproServer:
         exactly as a real mid-run failure would, and the client gets a
         typed ``"internal"`` error frame instead of a truncated stream.
         """
-        if self.faults is None:
+        faults = self.engine.faults
+        if faults is None:
             return
-        spec = self.faults.fire("server.stream")
+        spec = faults.fire("server.stream")
         if spec is None:
             return
         if spec.kind == "reply-delay":
@@ -716,8 +714,8 @@ class ReproServer:
         exec_counters = getattr(self.executor, "resilience_stats", None)
         if exec_counters is not None:
             resilience["executor"] = exec_counters()
-        if self.faults is not None:
-            resilience["faults"] = self.faults.counters()
+        if self.engine.faults is not None:
+            resilience["faults"] = self.engine.faults.counters()
         return StatsResponse(
             id=request_id,
             requests_served=served,

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from ..core.pipeline import ConventionalPipeline, HiRISEPipeline
 from ..core.profiling import PhaseProfile, PhaseProfiler
-from ..faults.runtime import as_injector, default_injector
+from ..faults.runtime import as_injector
 from ..stream.ledger import StreamOutcome
 from ..stream.runner import StreamRunner
 from . import components as _components  # noqa: F401  (populates registries)
@@ -213,10 +213,11 @@ class Engine:
             measures real work, and a cache hit has no phases.
         faults: optional fault injection — a
             :class:`~repro.faults.FaultPlan` (or injector/dict/JSON
-            path); defaults to the ambient ``REPRO_FAULT_PLAN`` plan
-            when unset.  The engine itself has no injection sites; it
-            carries the injector so the process executor can ship the
-            plan to its workers (``worker.run`` faults fire there).
+            path); ``None`` arms nothing.  The engine itself has no
+            injection sites; it carries this process's injector, which
+            a :class:`~repro.server.ReproServer` serving the engine
+            fires and the process executor ships (as its plan) to its
+            workers (``worker.run`` faults fire there).
     """
 
     def __init__(
@@ -241,9 +242,7 @@ class Engine:
         self.executor = executor
         self.cache = cache if cache is not None else EngineCache(store=store)
         self.profile = profile
-        self.faults = (
-            as_injector(faults) if faults is not None else default_injector()
-        )
+        self.faults = as_injector(faults)
         # The system never changes over the engine's lifetime: hash it once
         # so per-request keys only hash the scenario.
         self._system_key = spec_fingerprint(self.spec.to_dict())

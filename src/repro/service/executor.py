@@ -46,6 +46,7 @@ from threading import Lock
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
+    from ..faults import FaultInjector, FaultPlan
     from ..store.shm import SharedClipLease
     from .cache import CacheStats, EngineCache
     from .engine import Engine, RunResult
@@ -204,13 +205,15 @@ def _chunk_by_clip(
     return [c for c in chunks if c]
 
 
-#: One clip cache per (clip capacity, store root), across every engine in
-#: this worker process.  Clip keys are system-agnostic by design, so
-#: sharing is safe — and it is what lets a multi-system sweep over one
-#: workload reuse the rendered clip instead of re-rendering it per system
-#: (the parent-side engines share one EngineCache the same way).  The
-#: result tier is disabled: results are memoized only in the parent.
-_WORKER_CACHES: dict[tuple, "EngineCache"] = {}
+#: One clip cache and one fault injector per (clip capacity, store root,
+#: fault plan), across every engine in this worker process.  Clip keys are
+#: system-agnostic by design, so sharing is safe — and it is what lets a
+#: multi-system sweep over one workload reuse the rendered clip instead of
+#: re-rendering it per system (the parent-side engines share one
+#: EngineCache the same way).  The result tier is disabled: results are
+#: memoized only in the parent.  The injector lives as long as the
+#: process, so ``"process"``-scope hits count per process, not per chunk.
+_WORKER_CACHES: dict[tuple, tuple["EngineCache", "FaultInjector | None"]] = {}
 
 
 def _run_chunk(
@@ -220,7 +223,7 @@ def _run_chunk(
     profile: bool = False,
     clips: dict | None = None,
     store_dir: str | None = None,
-    fault_plan: dict | None = None,
+    fault_plan: "FaultPlan | None" = None,
 ):
     """Worker entry point: serve one chunk against a fresh engine.
 
@@ -244,37 +247,35 @@ def _run_chunk(
     points the worker at the parent's on-disk store so its own renders
     persist too.
 
-    ``fault_plan`` (a :class:`~repro.faults.FaultPlan` dict) rebuilds the
-    parent's fault injector worker-side; with none shipped, the ambient
-    ``REPRO_FAULT_PLAN`` environment (inherited across spawn) still
-    applies.  A ``worker-crash`` fault at the ``worker.run`` site exits
-    this process hard (``os._exit``) — the parent observes a broken pool
-    and re-dispatches.
+    ``fault_plan`` (the parent engine's :class:`~repro.faults.FaultPlan`)
+    arms this worker: its one injector for the plan, kept with the clip
+    cache, is handed to the worker's store, to :func:`attach_clip` and to
+    the ``worker.run`` site.  With none shipped, nothing fires.  A
+    ``worker-crash`` fault at the ``worker.run`` site exits this process
+    hard (``os._exit``) — the parent observes a broken pool and
+    re-dispatches.
     """
-    from ..faults import FaultInjector, FaultPlan
-    from ..faults.runtime import default_injector
+    from ..faults import FaultInjector
     from .cache import EngineCache
     from .engine import Engine
 
-    if fault_plan is not None:
-        injector = FaultInjector(FaultPlan.from_dict(fault_plan))
-    else:
-        injector = default_injector()
-
-    cache_key = (clip_capacity, store_dir)
-    cache = _WORKER_CACHES.get(cache_key)
-    if cache is None:
+    cache_key = (clip_capacity, store_dir, fault_plan)
+    entry = _WORKER_CACHES.get(cache_key)
+    if entry is None:
+        injector = None if fault_plan is None else FaultInjector(fault_plan)
         store = None
         if store_dir is not None:
             from ..store.artifact import ArtifactStore
 
-            store = ArtifactStore(store_dir)
-        cache = _WORKER_CACHES[cache_key] = EngineCache(
+            store = ArtifactStore(store_dir, faults=injector)
+        cache = EngineCache(
             clip_capacity=clip_capacity,
             result_capacity=0,
             store=store,
         )
-    engine = Engine(system, cache=cache, profile=profile)
+        entry = _WORKER_CACHES[cache_key] = (cache, injector)
+    cache, injector = entry
+    engine = Engine(system, cache=cache, profile=profile, faults=injector)
     if clips:
         from ..store.shm import ClipSegmentGoneError, attach_clip
 
@@ -445,8 +446,7 @@ class ProcessExecutor(Executor):
         ``deliver(index, result)`` as its chunk completes."""
         store = getattr(engine.cache, "store", None)
         store_dir = None if store is None else str(store.root)
-        faults = getattr(engine, "faults", None)
-        fault_plan = None if faults is None else faults.plan.to_dict()
+        fault_plan = None if engine.faults is None else engine.faults.plan
         # One lease per distinct shared clip, acquired once per chunk
         # it rides in and released as that chunk's future completes;
         # the finally-destroy covers every failure path, so no
@@ -561,7 +561,7 @@ class ProcessExecutor(Executor):
                 del leases[raw_key]
                 lease = None
             if lease is None:
-                lease = share_clip(clip, faults=getattr(engine, "faults", None))
+                lease = share_clip(clip, faults=engine.faults)
                 if lease is not None:
                     leases[raw_key] = lease
             if lease is None:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from threading import Lock
 
-from ..faults.runtime import as_injector, default_injector
+from ..faults.runtime import as_injector
 
 #: Returned by :meth:`ArtifactStore.load` when the key is absent (or its
 #: file failed verification).  A dedicated sentinel, not ``None``: the
@@ -126,7 +126,7 @@ class ArtifactStore:
             single oversized object still round-trips.
         faults: a :class:`~repro.faults.FaultPlan` (or injector, dict, or
             plan path) scheduling ``store.load``/``store.put`` faults;
-            ``None`` inherits the ambient ``REPRO_FAULT_PLAN`` plan.
+            ``None`` arms nothing.
             Injected faults are :class:`~repro.faults.InjectedFault`
             (an ``OSError``) raised exactly where a real disk error
             would surface, so they exercise the quarantine and
@@ -147,9 +147,7 @@ class ArtifactStore:
             raise ValueError(f"store.max_bytes: must be >= 0, got {max_bytes}")
         self.root = Path(root)
         self.max_bytes = max_bytes
-        self.faults = (
-            as_injector(faults) if faults is not None else default_injector()
-        )
+        self.faults = as_injector(faults)
         self.stats = StoreStats()
         self._lock = Lock()
         self._inflight: dict[tuple[str, str], Lock] = {}

@@ -4,14 +4,12 @@ The process executor's work units are plain specs, so a cold worker
 *renders* its clips.  A warm parent often already holds the rendered
 frames — in its memory clip tier or its disk store — and shipping them
 beats re-rendering, but pickling a clip copies its whole frame block
-into every worker's pipe.  This module moves the contiguous block from
-:meth:`SyntheticClip.__getstate__ <repro.stream.source.SyntheticClip.__getstate__>`
-into one named shared-memory segment instead, so N workers map **one**
-copy:
+into every worker's pipe.  This module stacks the frames into one named
+shared-memory segment instead, so N workers map **one** copy:
 
-* :func:`share_clip` (parent) — stack the frames into a segment and
-  return a tiny picklable :class:`SharedClipHandle` plus a refcounted
-  :class:`SharedClipLease` that owns the segment's lifetime;
+* :func:`share_clip` (parent) — stack the frames straight into a segment
+  (one copy) and return a tiny picklable :class:`SharedClipHandle` plus a
+  refcounted :class:`SharedClipLease` that owns the segment's lifetime;
 * :func:`attach_clip` (worker) — map the segment and rebuild a
   bit-identical :class:`~repro.stream.source.SyntheticClip` whose frames
   are **read-only views** into the mapping (the mapping is closed by a
@@ -19,7 +17,8 @@ copy:
   it alive for free);
 * ragged or empty clips have no contiguous block: :func:`share_clip`
   returns ``None`` and callers fall back to plain pickling, exactly the
-  fallback :meth:`__getstate__` itself takes.
+  fallback :meth:`SyntheticClip.__getstate__
+  <repro.stream.source.SyntheticClip.__getstate__>` itself takes.
 
 Lifetime discipline: the parent acquires one lease reference per chunk a
 handle is dispatched with and releases it as each chunk completes; the
@@ -173,22 +172,25 @@ def share_clip(clip: SyntheticClip, faults=None) -> SharedClipLease | None:
     """
     if faults is not None and faults.fire("shm.share") is not None:
         return None
-    state = clip.__getstate__()
-    block = state.get("frame_stack")
-    if block is None:
+    frames = clip.frames
+    # The uniformity test of SyntheticClip.__getstate__: one shape and
+    # one dtype make a contiguous block.
+    if not frames or len({(f.shape, f.dtype.str) for f in frames}) != 1:
         return None
+    shape = (len(frames), *frames[0].shape)
+    dtype = frames[0].dtype
     try:
         shm = shared_memory.SharedMemory(
-            name=_segment_name(), create=True, size=block.nbytes
+            name=_segment_name(), create=True, size=frames[0].nbytes * len(frames)
         )
     except OSError:
         return None
-    mapped = np.ndarray(block.shape, dtype=block.dtype, buffer=shm.buf)
-    mapped[...] = block
+    # Stack straight into the segment: the frames are copied once.
+    np.stack(frames, out=np.ndarray(shape, dtype=dtype, buffer=shm.buf))
     handle = SharedClipHandle(
         name=shm.name,
-        shape=tuple(block.shape),
-        dtype=block.dtype.str,
+        shape=shape,
+        dtype=dtype.str,
         ground_truth=clip.ground_truth,
         resolution=clip.resolution,
     )

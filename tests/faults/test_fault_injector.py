@@ -1,20 +1,19 @@
-"""FaultInjector: live firing, counters, fuses, and env activation."""
+"""FaultInjector: live firing, counters, fuses, and ``faults=`` coercion."""
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults import (
-    ENV_PLAN,
+    FAULT_KINDS,
+    FAULT_SITES,
     FaultInjector,
     FaultPlan,
     FaultPlanError,
     FaultSpec,
     InjectedFault,
     as_injector,
-    deactivate,
-    default_injector,
-    install,
 )
 
 
@@ -45,6 +44,43 @@ class TestFiring:
             for _ in range(100)
         ]
         assert live == plan.schedule("server.reply", 100)
+
+    @settings(deadline=None)
+    @given(
+        plan=st.builds(
+            FaultPlan,
+            name=st.just("property"),
+            seed=st.integers(0, 2**32),
+            faults=st.lists(
+                st.builds(
+                    FaultSpec,
+                    site=st.sampled_from(FAULT_SITES),
+                    kind=st.sampled_from(FAULT_KINDS),
+                    at=st.lists(st.integers(0, 30), max_size=4).map(tuple),
+                    rate=st.just(0.0) | st.floats(0.0, 1.0),
+                    limit=st.none() | st.integers(0, 4),
+                    scope=st.just("process"),
+                ),
+                max_size=5,
+            ).map(tuple),
+        ),
+        runs=st.lists(
+            st.tuples(st.sampled_from(FAULT_SITES), st.integers(0, 12)),
+            max_size=10,
+        ),
+    )
+    def test_hits_split_into_runs_follow_the_schedule(self, plan, runs):
+        # One long-lived injector (a process-pool worker's) sees its hits
+        # in consecutive runs (one per chunk), sites interleaved; every
+        # site's fires are still the plan's preview of that many hits.
+        injector = FaultInjector(plan)
+        live = {site: [] for site in FAULT_SITES}
+        for site, n_hits in runs:
+            for _ in range(n_hits):
+                spec = injector.fire(site)
+                live[site].append(None if spec is None else spec.kind)
+        for site, kinds in live.items():
+            assert kinds == plan.schedule(site, len(kinds))
 
     def test_counters_key_site_and_kind(self):
         spec = FaultSpec(site="shm.attach", kind="shm-attach-gone", at=(0, 1))
@@ -108,13 +144,6 @@ class TestGlobalFuse:
 
 
 class TestActivation:
-    @pytest.fixture(autouse=True)
-    def _clean_slate(self, monkeypatch):
-        monkeypatch.delenv(ENV_PLAN, raising=False)
-        deactivate()
-        yield
-        deactivate()
-
     def test_as_injector_coercions(self, tmp_path):
         plan = plan_with(FaultSpec(site="store.load", kind="store-io-error", at=(0,)))
         assert as_injector(None) is None
@@ -125,43 +154,11 @@ class TestActivation:
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan.to_dict()), encoding="utf-8")
         assert as_injector(str(path)).plan == plan
-        # inline JSON string, same convention as the env hatch / CLI flag
+        # inline JSON string, same convention as the --fault-plan flag
         assert as_injector(json.dumps(plan.to_dict())).plan == plan
         with pytest.raises(FaultPlanError, match="inline JSON"):
             as_injector("{not json")
+        with pytest.raises(FaultPlanError, match="fault plan"):
+            as_injector(str(tmp_path / "missing.json"))
         with pytest.raises(TypeError, match="faults"):
             as_injector(42)
-
-    def test_install_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_PLAN, json.dumps(plan_with().to_dict()))
-        installed = install(plan_with(seed=99))
-        assert default_injector() is installed
-        deactivate()
-        assert default_injector().plan.seed == 0
-
-    def test_env_inline_json(self, monkeypatch):
-        plan = plan_with(FaultSpec(site="store.put", kind="store-io-error", at=(0,)))
-        monkeypatch.setenv(ENV_PLAN, json.dumps(plan.to_dict()))
-        injector = default_injector()
-        assert injector.plan == plan
-        # Same raw env value -> the same cached injector (hit counters
-        # persist across default_injector() calls).
-        assert default_injector() is injector
-
-    def test_env_file_path(self, tmp_path, monkeypatch):
-        plan = plan_with(seed=5)
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan.to_dict()), encoding="utf-8")
-        monkeypatch.setenv(ENV_PLAN, str(path))
-        assert default_injector().plan == plan
-
-    def test_broken_env_plan_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(ENV_PLAN, "{not json")
-        with pytest.raises(FaultPlanError, match=ENV_PLAN):
-            default_injector()
-        monkeypatch.setenv(ENV_PLAN, "/nonexistent/plan.json")
-        with pytest.raises(FaultPlanError, match="fault plan"):
-            default_injector()
-
-    def test_no_plan_means_dormant(self):
-        assert default_injector() is None

@@ -1,7 +1,7 @@
 """Retrying client: typed close error, reconnect, backoff determinism.
 
-Faults are injected server-side through ``REPRO_FAULT_PLAN``-style plans
-passed to :class:`ReproServer` directly, so "the connection drops" is a
+Faults are injected server-side through the fault plan handed to
+:class:`ReproServer` (``faults=``), so "the connection drops" is a
 deterministic event at a scheduled reply hit — no real network flakes.
 """
 

@@ -23,7 +23,7 @@ from repro.server import (
     ServerShuttingDownError,
     wait_for_server,
 )
-from repro.server.protocol import encode_frame, parse_frame, read_frame
+from repro.server.protocol import RunRequest, encode_frame, parse_frame, read_frame
 from repro.service import Engine, ScenarioSpec, SOURCES
 from repro.stream import pedestrian_clip
 
@@ -377,6 +377,50 @@ class TestDrain:
         finally:
             gated_source.release.set()
             for cl in (a, b, watcher):
+                cl.close()
+            server.shutdown()
+
+    def test_cancelled_request_is_answered_once(self, gated_source):
+        server = ReproServer(
+            SYSTEM, workers=1, executor="serial", queue_size=4
+        ).start()
+        runner = ServerClient(*server.address).connect()
+        watcher = ServerClient(*server.address).connect()
+        sock, reader = raw_socket(server)
+        try:
+            result = {}
+            t = threading.Thread(
+                target=lambda: result.setdefault(
+                    "v", runner.run(tiny_scenario(seed=1, source=gated_source.name))
+                )
+            )
+            t.start()
+            assert gated_source.started.wait(timeout=10)  # A is computing
+            sock.sendall(encode_frame(RunRequest(id="B", scenario=tiny_scenario(seed=2))))
+            for _ in range(200):
+                if watcher.stats().queue_depth == 1:
+                    break
+                threading.Event().wait(0.02)
+            assert watcher.stats().queue_depth == 1  # B is queued
+            stopper = threading.Thread(target=lambda: server.shutdown(drain=False))
+            stopper.start()
+            frames = [parse_frame(read_frame(reader))]  # B is cancelled
+            gated_source.release.set()
+            stopper.join(timeout=30)
+            assert not stopper.is_alive()
+            t.join(timeout=30)
+            # Everything else the connection carries until the daemon
+            # closes it: no second answer for B.
+            while (data := read_frame(reader)) is not None:
+                frames.append(parse_frame(data))
+            assert [(f.type, f.id, f.code) for f in frames] == [
+                ("error", "B", "shutting-down")
+            ]
+            assert result["v"].outcome.n_frames == 3
+        finally:
+            gated_source.release.set()
+            sock.close()
+            for cl in (runner, watcher):
                 cl.close()
             server.shutdown()
 

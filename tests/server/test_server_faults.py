@@ -5,6 +5,12 @@ fires exactly once — the request after the faulted one is automatically
 clean, which is exactly the "daemon keeps serving" property under test.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec
@@ -112,3 +118,81 @@ class TestResilienceStats:
                 client.run(scenario(seed=6))
                 stats = client.stats()
         assert "faults" not in stats.resilience
+
+
+class TestOneInjector:
+    def test_server_fires_its_engines_injector(self):
+        plan = FaultPlan(
+            name="delays",
+            seed=0,
+            faults=(
+                FaultSpec(site="server.reply", kind="reply-delay", at=(0,)),
+                FaultSpec(site="server.stream", kind="reply-delay", at=(0,)),
+            ),
+        )
+        engine = Engine.from_spec(SYSTEM, faults=plan)
+        with ReproServer(engine, workers=1, executor="serial") as server:
+            with ServerClient(*server.address) as client:
+                client.run(scenario(seed=8))
+                client.run_streaming(scenario(seed=9))
+                stats = client.stats()
+        # Both replies and all five streamed frames hit the engine's own
+        # injector, and the stats report its tally.
+        assert engine.faults.hits("server.reply") == 2
+        assert engine.faults.hits("server.stream") == 5
+        assert stats.resilience["faults"] == engine.faults.counters() == {
+            "server.reply:reply-delay": 1,
+            "server.stream:reply-delay": 1,
+        }
+
+    def test_faults_next_to_an_engine_rejected(self):
+        engine = Engine.from_spec(SYSTEM)
+        with pytest.raises(ValueError, match="faults"):
+            ReproServer(engine, faults=stream_plan("socket-drop", 0))
+
+
+class TestServeCommand:
+    def test_fault_plan_arms_the_store(self, tmp_path):
+        # `repro serve --store-dir D --fault-plan P` hands one injector to
+        # the store and the engine: with every store write failing, one
+        # request shows the fires and the store errors in the stats.
+        plan = FaultPlan(
+            name="no-put",
+            seed=0,
+            faults=(FaultSpec("store.put", "store-io-error", rate=1.0),),
+        )
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan.to_dict()), encoding="utf-8")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SYSTEM), encoding="utf-8")
+        src = Path(__file__).resolve().parents[2] / "src"
+        daemon = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", str(spec_path),
+                "--executor", "serial",
+                "--store-dir", str(tmp_path / "store"),
+                "--fault-plan", str(plan_path),
+            ],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            line = daemon.stdout.readline()
+            while line and not line.startswith("serving "):
+                line = daemon.stdout.readline()
+            assert line.startswith("serving "), line
+            host, port = line.split()[1].rsplit(":", 1)
+            with ServerClient(host, int(port)) as client:
+                client.run(scenario(seed=7))
+                stats = client.stats()
+                client.shutdown()
+            assert daemon.wait(timeout=60) == 0
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+            daemon.stdout.close()
+        assert stats.resilience["faults"]["store.put:store-io-error"] >= 1
+        assert stats.cache["store"]["errors"] >= 1

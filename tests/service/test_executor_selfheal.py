@@ -96,6 +96,29 @@ class TestSelfHealing:
         assert "doomed" in str(error)
         assert "retry budget exhausted" in str(error)
 
+    def test_process_scope_hits_count_per_process(self):
+        # A worker keeps one injector for its whole life, so hit 1 of a
+        # process-scope crash lands on the second one-scenario batch the
+        # worker serves; the respawned worker starts again at hit 0.
+        plan = FaultPlan(
+            name="second-unit",
+            seed=0,
+            faults=(
+                FaultSpec(site="worker.run", kind="worker-crash", at=(1,)),
+            ),
+        )
+        specs = [scenario(name=f"life/{seed}", seed=seed) for seed in (4, 9, 11)]
+        reference_engine = Engine(SYSTEM, cache=EngineCache.disabled())
+        engine = Engine(SYSTEM, cache=EngineCache.disabled(), faults=plan)
+        with ProcessExecutor(workers=1) as pool:
+            batches = [engine.run_batch([spec], executor=pool) for spec in specs]
+            stats = pool.resilience_stats()
+        assert stats["respawns"] >= 1
+        for batch, spec in zip(batches, specs):
+            want = reference_engine.run(spec)
+            assert batch[0].scenario == want.scenario
+            assert batch[0].outcome.frames == want.outcome.frames
+
     def test_deterministic_errors_propagate_without_respawn(self):
         # A SpecError is the work's fault, not the worker's: it must
         # surface immediately and never trip the self-healing machinery.

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import HiRISEConfig
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultPlan, FaultSpec, as_injector
 from repro.service import (
     ComponentRef,
     Engine,
@@ -139,6 +139,28 @@ class TestWorkerStore:
         stats = restarted.cache.stats()
         assert stats.results.disk_hits == len(requests())
         assert stats.results.disk_misses == 0
+
+    def test_worker_store_fires_the_shipped_plan(self, tmp_path, reference):
+        # One plan, one injector per process: the parent's store and the
+        # workers' stores both fail every write, so a cold batch leaves
+        # no object on disk and still serves exact results.
+        faults = as_injector(
+            FaultPlan(
+                name="no-put",
+                seed=0,
+                faults=(FaultSpec("store.put", "store-io-error", rate=1.0),),
+            )
+        )
+        store_dir = tmp_path / "store"
+        engine = Engine(
+            SYSTEM, store=ArtifactStore(store_dir, faults=faults), faults=faults
+        )
+        with ProcessExecutor(workers=2) as pool:
+            results = pool.execute(engine, requests())
+        for result, expected in zip(results, reference):
+            assert result.outcome.frames == expected.outcome.frames
+        assert faults.counters()["store.put:store-io-error"] == len(requests())
+        assert ArtifactStore(store_dir).snapshot().entries == 0
 
     def test_restarted_parent_ships_promoted_clips(self, tmp_path, reference):
         store_dir = tmp_path / "store"

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,33 @@ class TestRoundTrip:
             resolution=(4, 4),
         )
         assert share_clip(clip) is None
+        # One shape but two dtypes is ragged too: no block without a cast.
+        clip = SyntheticClip(
+            frames=[np.zeros((4, 4, 3)), np.zeros((4, 4, 3), dtype=np.float32)],
+            ground_truth=[[], []],
+            resolution=(4, 4),
+        )
+        assert share_clip(clip) is None
+
+    def test_frames_are_copied_once(self):
+        # The frames are stacked straight into the segment: sharing
+        # allocates no clip-sized temporary on the heap.
+        clip = uniform_clip()
+        clip_bytes = sum(frame.nbytes for frame in clip.frames)
+        tracemalloc.start()
+        try:
+            lease = share_clip(clip)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        try:
+            assert peak < clip_bytes // 4
+            copy = attach_clip(lease.handle)
+            for a, b in zip(clip.frames, copy.frames):
+                assert np.array_equal(a, b)
+            del copy
+        finally:
+            lease.destroy()
 
     def test_empty_clip_returns_none(self):
         clip = SyntheticClip(frames=[], ground_truth=[], resolution=(8, 8))
