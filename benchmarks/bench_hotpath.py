@@ -15,8 +15,15 @@ batched stage-2 inference:
    faster than the per-crop loop (skipped in tiny smoke mode, where
    only the correctness gates run);
 4. **observability** — a profiled engine run yields the per-phase
-   wall-clock breakdown (expose / stage1.read / detect / condition /
-   stage2.read / stage2.classify).
+   wall-clock breakdown (source / expose / stage1.read / detect /
+   condition / stage2.read / stage2.classify);
+5. **clip render** — for the clip shapes the repository benchmark renders
+   (``render_baseline.RENDER_CLIPS``), the frame-batched renderer is
+   bit-identical to the same clip drawn one frame at a time through the
+   single-canvas API (gated in tiny mode too) and, at full size, faster
+   by the ``RENDER_GATES`` ratios (best of 7 each, after
+   ``render_baseline.settle_allocator``).  ``render_baseline.py`` adds
+   another tree's render times to these rows.
 
 Everything measured lands in ``BENCH_hotpath.json`` at the repo root —
 the first entry of the ROADMAP's perf trajectory.
@@ -34,12 +41,30 @@ from pathlib import Path
 import numpy as np
 
 from conftest import env_flag
+from render_baseline import (
+    RENDER_CLIPS,
+    RENDER_ROUNDS,
+    RENDER_SEED,
+    SCENE_SWEEP,
+    SERVE_PAIR,
+    best_ms,
+    settle_allocator,
+)
 
 from repro.bench import Table
 from repro.core import HiRISEConfig, classify_crops
+from repro.datasets.shapes import draw_person, draw_vehicle
 from repro.ml import CropClassifier, tiny_cnn
 from repro.ml.classifier.crop import FLOAT32_LOGIT_ATOL, FLOAT32_LOGIT_RTOL
-from repro.service import ComponentRef, Engine, EngineCache, ScenarioSpec, SystemSpec
+from repro.service import (
+    SOURCES,
+    ComponentRef,
+    Engine,
+    EngineCache,
+    ScenarioSpec,
+    SystemSpec,
+)
+from repro.stream import source
 
 TINY = env_flag("REPRO_HOTPATH_TINY")
 N_CROPS = 8 if TINY else 24          # ROIs per "frame" for the speed claim
@@ -51,6 +76,18 @@ RESOLUTION = (128, 96) if TINY else (256, 192)
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 CLASSES = ("pedestrian", "cyclist", "vehicle", "background")
+
+#: Full-size floors on (one frame at a time) / (frame-batched) render time.
+RENDER_GATES = {
+    "serve-mix pedestrian": 1.5,
+    "serve-mix drone": 1.5,
+    "stream-classify": 2.5,
+    "stream-reuse": 2.0,
+}
+SCENES = {
+    "pedestrian_clip": (source._pedestrian_scene, "n_walkers"),
+    "drone_traffic_clip": (source._drone_scene, "n_vehicles"),
+}
 
 
 def make_classifier(dtype: str = "float64") -> CropClassifier:
@@ -77,6 +114,32 @@ def best_of(fn, rounds: int = ROUNDS) -> float:
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best
+
+
+def render_frame_by_frame(function: str, seed: int, n_frames, resolution, speed, **count):
+    """The same clip drawn one frame at a time through the single-canvas API.
+
+    Each frame starts from a copy of the backdrop, redraws every actor from
+    a fresh ``(seed, index)`` appearance generator and is clipped: the
+    loop the frame-batched renderer replaced (motion without jitter).
+    """
+    scene, count_name = SCENES[function]
+    backdrop, actors = scene(resolution, count[count_name], seed, speed)
+    frames, ground_truth = [], []
+    for t in range(n_frames):
+        canvas = backdrop.copy()
+        boxes = []
+        for i, actor in enumerate(actors):
+            appearance = np.random.default_rng((seed, i))
+            x, y = actor.x + actor.vx * t, actor.y + actor.vy * t
+            if actor.kind == "person":
+                body, _ = draw_person(canvas, appearance, x, y, actor.size, 0.3, 0.55)
+                boxes.append(body)
+            else:
+                boxes.append(draw_vehicle(canvas, appearance, actor.kind, x, y, actor.size))
+        frames.append(np.clip(canvas, 0.0, 1.0))
+        ground_truth.append(boxes)
+    return frames, ground_truth
 
 
 def profiled_scenario() -> tuple[SystemSpec, ScenarioSpec]:
@@ -164,7 +227,7 @@ def test_hotpath(benchmark, emit):
     result = engine.run(scenario)
     profile = result.profile
     assert profile is not None
-    for path in ("expose", "stage1.read", "detect", "condition",
+    for path in ("source", "expose", "stage1.read", "detect", "condition",
                  "stage2.read", "stage2.classify"):
         assert profile.get(path) is not None, f"missing phase {path}"
     emit("\nphase breakdown (one served request):")
@@ -188,6 +251,56 @@ def test_hotpath(benchmark, emit):
         f"check 4: served scenario bit-identical to per-crop reference "
         f"({n_rois} ROIs over {N_FRAMES} frames)"
     )
+
+    # -- 5. clip render: frame-batched vs one frame at a time ---------------
+    settle_allocator()
+    rows = {}
+    table = Table(
+        f"clip render, best of {RENDER_ROUNDS} (frame-batched vs one frame "
+        "at a time through the single-canvas API)",
+        ["clip", "frames", "resolution", "per-frame ms", "batched ms", "speedup"],
+        aligns=["l", "r", "r", "r", "r", "r"],
+    )
+    for name, (function, kwargs) in RENDER_CLIPS.items():
+        make = getattr(source, function)
+        clip = make(seed=RENDER_SEED, **kwargs)
+        frames, ground_truth = render_frame_by_frame(function, RENDER_SEED, **kwargs)
+        assert len(clip.frames) == len(frames)
+        for a, b in zip(clip.frames, frames):
+            assert a.tobytes() == b.tobytes(), f"{name}: frame-batched != per-frame"
+        assert repr(clip.ground_truth) == repr(ground_truth), name
+        looped_ms = best_ms(lambda: render_frame_by_frame(function, RENDER_SEED, **kwargs))
+        batched_ms = best_ms(lambda: make(seed=RENDER_SEED, **kwargs))
+        rows[name] = {
+            "source": function,
+            "n_frames": kwargs["n_frames"],
+            "resolution": list(kwargs["resolution"]),
+            "per_frame_ms": looped_ms,
+            "batched_ms": batched_ms,
+            "speedup": looped_ms / batched_ms,
+            "bit_identical": True,
+        }
+        width, height = kwargs["resolution"]
+        table.add_row(
+            name, str(kwargs["n_frames"]), f"{width}x{height}", f"{looped_ms:.2f}",
+            f"{batched_ms:.2f}", f"{looped_ms / batched_ms:.2f}x",
+        )
+    sweep_name, sweep_frames = SCENE_SWEEP
+    make_sweep = SOURCES.get(sweep_name)
+    sweep_ms = best_ms(lambda: make_sweep(sweep_frames, RENDER_SEED))
+    table.add_row(sweep_name, str(sweep_frames), "640x480", "", f"{sweep_ms:.2f}", "")
+    emit("\n" + table.render())
+    emit(f"check 5: frame-batched clips bit-identical to per-frame ({len(rows)} shapes)")
+    if TINY:
+        emit("check 5: speed gates skipped (tiny smoke mode)")
+    else:
+        for name, floor in RENDER_GATES.items():
+            assert rows[name]["speedup"] >= floor, (
+                f"{name}: frame-batched render {rows[name]['speedup']:.2f}x "
+                f"the per-frame loop, below the {floor}x floor"
+            )
+        emit("check 5: frame-batched render beats the per-frame loop on every shape")
+    pair = [rows[name] for name in SERVE_PAIR]
 
     payload = {
         "experiment": "hotpath",
@@ -213,6 +326,20 @@ def test_hotpath(benchmark, emit):
             "rtol": FLOAT32_LOGIT_RTOL,
         },
         "phases": profile.to_dict(),
+        "clip_render": {
+            "rounds": RENDER_ROUNDS,
+            "seed": RENDER_SEED,
+            "gates": RENDER_GATES,
+            "serve_pair_speedup": (
+                sum(r["per_frame_ms"] for r in pair) / sum(r["batched_ms"] for r in pair)
+            ),
+            "rows": rows,
+            "scene_sweep": {
+                "source": sweep_name,
+                "n_frames": sweep_frames,
+                "render_ms": sweep_ms,
+            },
+        },
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     emit(f"wrote {OUTPUT.name}")

@@ -169,6 +169,8 @@ def _cmd_request(args: argparse.Namespace) -> int:
                         parts.append(f"{counters['writes']} write(s)")
                     if "evictions" in counters:
                         parts.append(f"{counters['evictions']} evicted")
+                    if "errors" in counters:
+                        parts.append(f"{counters['errors']} error(s)")
                     if "entries" in counters:
                         entries = counters["entries"]
                         parts.append(

@@ -17,9 +17,11 @@ pipelines thread through their phase methods:
 :class:`PhaseProfile` — plain data (picklable, JSON-ready via
 :meth:`PhaseProfile.to_dict`) that rides on
 :class:`~repro.service.RunResult` and merges across a batch.  The
-canonical taxonomy the pipelines emit (see ``docs/architecture.md``):
-``expose`` (scene -> pixel array), ``stage1.read`` (pool + ADC),
-``detect``, ``condition``, ``stage2.read``, ``stage2.classify``.
+canonical taxonomy (see ``docs/architecture.md``): the engine's
+``source`` (clip render, recorded only when the clip tier misses), then
+the pipelines' ``expose`` (scene -> pixel array), ``stage1.read``
+(pool + ADC), ``detect``, ``condition``, ``stage2.read``,
+``stage2.classify``.
 """
 
 from __future__ import annotations

@@ -20,7 +20,13 @@ import numpy as np
 
 
 def _bilinear_upsample(grid: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Bilinearly resample a coarse grid to ``shape`` (used by value noise)."""
+    """Bilinearly resample a coarse grid to ``shape`` (used by value noise).
+
+    Separable: every coarse row is interpolated along x once, then output
+    rows are gathered from those and blended along y.  Each pixel gets the
+    same products and sums as a four-corner gather, so the result is
+    bit-identical to one, at a fraction of the full-size passes.
+    """
     gh, gw = grid.shape
     h, w = shape
     # Sample positions in grid coordinates; endpoints map exactly.
@@ -32,9 +38,13 @@ def _bilinear_upsample(grid: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     x1 = np.minimum(x0 + 1, gw - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    top = grid[np.ix_(y0, x0)] * (1 - fx) + grid[np.ix_(y0, x1)] * fx
-    bottom = grid[np.ix_(y1, x0)] * (1 - fx) + grid[np.ix_(y1, x1)] * fx
-    return top * (1 - fy) + bottom * fy
+    rows = grid[:, x0] * (1 - fx) + grid[:, x1] * fx
+    top = rows[y0]
+    top *= 1 - fy
+    bottom = rows[y1]
+    bottom *= fy
+    top += bottom
+    return top
 
 
 def value_noise(
@@ -66,14 +76,17 @@ def value_noise(
         gh = max(2, min(h, int(round(cells * h / min(h, w)))))
         gw = max(2, min(w, int(round(cells * w / min(h, w)))))
         grid = rng.random((gh, gw))
-        total += amplitude * _bilinear_upsample(grid, shape)
+        octave = _bilinear_upsample(grid, shape)
+        octave *= amplitude
+        total += octave
         norm += amplitude
         amplitude *= persistence
         cells *= 2
     total /= norm
     lo, hi = float(total.min()), float(total.max())
     if hi > lo:
-        total = (total - lo) / (hi - lo)
+        total -= lo
+        total /= hi - lo
     return total
 
 
@@ -137,5 +150,12 @@ def colorize(field: np.ndarray, low: tuple, high: tuple) -> np.ndarray:
         ``(H, W, 3)`` float64 image.
     """
     low_arr = np.asarray(low, dtype=np.float64)
-    high_arr = np.asarray(high, dtype=np.float64)
-    return field[:, :, None] * (high_arr - low_arr) + low_arr
+    span = np.asarray(high, dtype=np.float64) - low_arr
+    # One channel at a time: a broadcast over the 3-long channel axis runs
+    # NumPy's inner loop 3 elements at a time, three times slower.
+    image = np.empty(field.shape + (3,))
+    for c in range(3):
+        channel = image[..., c]
+        np.multiply(field, span[c], out=channel)
+        channel += low_arr[c]
+    return image

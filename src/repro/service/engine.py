@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..core.pipeline import ConventionalPipeline, HiRISEPipeline
-from ..core.profiling import PhaseProfile, PhaseProfiler
+from ..core.profiling import PhaseProfile, PhaseProfiler, profiled
 from ..faults.runtime import as_injector
 from ..stream.ledger import StreamOutcome
 from ..stream.runner import StreamRunner
@@ -375,17 +375,22 @@ class Engine:
         on_stats=None,
     ) -> RunResult:
         """Run one scenario for real (no result memoization)."""
+        profiler = PhaseProfiler() if self.profile else None
         if clip is None:
+
+            def build_clip():
+                # Only a clip-tier miss renders, so only a miss records it.
+                with profiled(profiler, "source"):
+                    return self._build_clip(scenario)
+
             clip = self.cache.clips.get_or_build(
                 self._epoch_key(clip_key(scenario)),
-                lambda: self._build_clip(scenario),
+                build_clip,
                 delta=None if cache_delta is None else cache_delta.clips,
             )
         runner, on_frame = self._build_runner(scenario, clip)
         runner.on_stats = on_stats
-        profiler = None
-        if self.profile:
-            profiler = PhaseProfiler()
+        if profiler is not None:
             runner.pipeline.profiler = profiler
         outcome = runner.run(
             clip.frames, frame_seeds=scenario.frame_seeds, on_frame=on_frame

@@ -15,12 +15,13 @@ do.  Swap in ``repro.ml.CorrelationDetector`` for a learned stage 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..datasets.shapes import draw_person, draw_vehicle
+from ..datasets.shapes import draw_person_stack, draw_vehicle_stack
 from ..datasets.textures import colorize, value_noise
 from ..ml import Detection
 
@@ -101,32 +102,52 @@ def _render_clip(
     seed: int,
     jitter: float,
 ) -> SyntheticClip:
-    width, height = resolution
-    frames: list[np.ndarray] = []
-    ground_truth: list[list[Box]] = []
-    jitter_rng = np.random.default_rng((seed, 999_331))
-    for t in range(n_frames):
-        canvas = backdrop.copy()
-        boxes: list[Box] = []
-        for i, actor in enumerate(actors):
-            dx = jitter * jitter_rng.normal() if jitter else 0.0
-            dy = jitter * jitter_rng.normal() if jitter else 0.0
-            x = actor.x + actor.vx * t + dx
-            y = actor.y + actor.vy * t + dy
-            # A per-actor generator keeps appearance constant across frames.
-            appearance = np.random.default_rng((seed, i))
-            if actor.kind == "person":
-                body, _ = draw_person(
-                    canvas, appearance, x, y, actor.size, 0.3, 0.55
-                )
-                boxes.append(body)
-            else:
-                boxes.append(
-                    draw_vehicle(canvas, appearance, actor.kind, x, y, actor.size)
-                )
-        frames.append(np.clip(canvas, 0.0, 1.0))
-        ground_truth.append(boxes)
+    """Draw every actor on all frames at once, actor by actor.
+
+    Each frame receives the same operations, in the same order, as drawing
+    it alone would give it, so frames and boxes do not depend on how many
+    frames are drawn together.  Jitter is drawn frame by frame, then actor,
+    then ``dx``, ``dy``; each actor's appearance comes from its own
+    ``(seed, index)`` generator.
+
+    Only the backdrop is clipped to [0, 1].  Every color and coverage is
+    in [0, 1] too, and a blend ``r + c * (color - r)`` of such values
+    rounds back into [0, 1], so the frames need no clip of their own.
+    """
+    np.clip(backdrop, 0.0, 1.0, out=backdrop)
+    frames = [backdrop.copy() for _ in range(n_frames)]
+    if not frames:
+        return SyntheticClip(frames, [], resolution)
+    steps = np.arange(n_frames)
+    offsets = np.zeros((n_frames, len(actors), 2))
+    if jitter:
+        jitter_rng = np.random.default_rng((seed, 999_331))
+        offsets = jitter * jitter_rng.normal(size=offsets.shape)
+    ground_truth: list[list[Box]] = [[] for _ in frames]
+    for i, actor in enumerate(actors):
+        x = actor.x + actor.vx * steps + offsets[:, i, 0]
+        y = actor.y + actor.vy * steps + offsets[:, i, 1]
+        appearance = np.random.default_rng((seed, i))
+        if actor.kind == "person":
+            people = draw_person_stack(frames, appearance, x, y, actor.size, 0.3, 0.55)
+            track = [body for body, _ in people]
+        else:
+            track = draw_vehicle_stack(frames, appearance, actor.kind, x, y, actor.size)
+        for boxes, box in zip(ground_truth, track):
+            boxes.append(box)
     return SyntheticClip(frames, ground_truth, resolution)
+
+
+def _check_motion(count_name: str, count: int, speed: float, jitter: float) -> None:
+    """Reject source parameters that would render garbage or nothing."""
+    if count < 0:
+        raise ValueError(f"{count_name} must be >= 0, got {count}")
+    if not math.isfinite(speed):
+        raise ValueError(f"speed must be finite, got {speed}")
+    if not math.isfinite(jitter):
+        raise ValueError(f"jitter must be finite, got {jitter}")
+    if jitter < 0:
+        raise ValueError(f"jitter must be >= 0, got {jitter}")
 
 
 def pedestrian_clip(
@@ -147,7 +168,20 @@ def pedestrian_clip(
         speed: nominal walking speed in px/frame (sign alternates).
         jitter: sigma of per-frame position jitter (0 = perfectly linear
             motion, the friendliest case for ROI reuse).
+
+    Raises:
+        ValueError: a negative ``n_walkers`` or ``jitter``, or a
+            non-finite ``speed`` or ``jitter``.
     """
+    _check_motion("n_walkers", n_walkers, speed, jitter)
+    backdrop, actors = _pedestrian_scene(resolution, n_walkers, seed, speed)
+    return _render_clip(actors, n_frames, resolution, backdrop, seed, jitter)
+
+
+def _pedestrian_scene(
+    resolution: tuple[int, int], n_walkers: int, seed: int, speed: float
+) -> tuple[np.ndarray, list[Actor]]:
+    """The plaza backdrop and its walkers (what :func:`pedestrian_clip` animates)."""
     width, height = resolution
     rng = np.random.default_rng(seed)
     backdrop = colorize(
@@ -171,7 +205,7 @@ def pedestrian_clip(
                 vx=direction * speed * rng.uniform(0.7, 1.3),
             )
         )
-    return _render_clip(actors, n_frames, resolution, backdrop, seed, jitter)
+    return backdrop, actors
 
 
 def drone_traffic_clip(
@@ -185,7 +219,20 @@ def drone_traffic_clip(
     """Top-down road traffic under a drone (VisDrone-flavored).
 
     Vehicles drive along horizontal lanes at lane-dependent speeds.
+
+    Raises:
+        ValueError: a negative ``n_vehicles`` or ``jitter``, or a
+            non-finite ``speed`` or ``jitter``.
     """
+    _check_motion("n_vehicles", n_vehicles, speed, jitter)
+    backdrop, actors = _drone_scene(resolution, n_vehicles, seed, speed)
+    return _render_clip(actors, n_frames, resolution, backdrop, seed, jitter)
+
+
+def _drone_scene(
+    resolution: tuple[int, int], n_vehicles: int, seed: int, speed: float
+) -> tuple[np.ndarray, list[Actor]]:
+    """The road backdrop and its vehicles (what :func:`drone_traffic_clip` animates)."""
     width, height = resolution
     rng = np.random.default_rng(seed)
     backdrop = colorize(
@@ -207,7 +254,7 @@ def drone_traffic_clip(
                 vx=direction * speed * rng.uniform(0.8, 1.2),
             )
         )
-    return _render_clip(actors, n_frames, resolution, backdrop, seed, jitter)
+    return backdrop, actors
 
 
 def ground_truth_detector(

@@ -530,6 +530,35 @@ class TestCacheCLI:
         assert "entry" in out
         assert "kB" in out
 
+    def test_request_stats_reports_store_errors(self, tmp_path, capsys):
+        # A store whose every write fails must not read as an idle one:
+        # the cache[store] line carries the errors counter.
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.server import ReproServer
+        from repro.store import ArtifactStore
+
+        plan = FaultPlan(
+            name="no-put",
+            seed=0,
+            faults=(FaultSpec("store.put", "store-io-error", rate=1.0),),
+        )
+        spec = self.service_spec(tmp_path)
+        with ReproServer(
+            {"system": {"system": "hirise"}},
+            executor="serial",
+            store=ArtifactStore(tmp_path / "store", faults=plan),
+        ) as server:
+            host, port = server.address
+            base = ["request", "--host", host, "--port", str(port)]
+            assert main(base + [spec]) == 0
+            capsys.readouterr()
+            assert main(base + ["--stats"]) == 0
+            out = capsys.readouterr().out
+        (line,) = [row for row in out.splitlines() if row.startswith("cache[store]")]
+        assert "0 write(s)" in line
+        errors = int(line.split(" error(s)")[0].rsplit(" ", 1)[-1])
+        assert errors >= 1
+
     def test_request_stats_shows_disk_hits_after_restart(self, tmp_path, capsys):
         from repro.server import ReproServer
         from repro.store import ArtifactStore

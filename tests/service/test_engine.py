@@ -405,6 +405,28 @@ class TestEngineProfiling:
         result = Engine(SYSTEM).run(scenario())
         assert result.profile is None
 
+    def test_clip_build_records_source_phase(self):
+        result = Engine(SYSTEM, profile=True).run(scenario())
+        source = result.profile.get("source")
+        assert source is not None and source.calls == 1
+        assert result.profile.phases[0].path == "source"  # renders first
+        assert result.profile.total_s >= source.total_s
+
+    def test_clip_tier_hit_records_no_source_phase(self):
+        engine = Engine(SYSTEM, profile=True)
+        engine.run(scenario())
+        # Same (source, n_frames, seed): the clip tier answers, nothing renders.
+        result = engine.run(scenario(policy=ComponentRef("temporal-reuse")))
+        assert engine.cache.stats().clips.hits == 1
+        assert result.profile.get("source") is None
+        assert result.profile.get("expose") is not None
+
+    def test_passed_clip_records_no_source_phase(self):
+        clip = pedestrian_clip(n_frames=6, resolution=(128, 96), seed=4)
+        result = Engine(SYSTEM, profile=True).run(scenario(), clip=clip)
+        assert result.profile.get("source") is None
+        assert result.profile.get("expose") is not None
+
     def test_profiled_requests_bypass_result_cache(self):
         engine = Engine(SYSTEM, profile=True)
         engine.run(scenario())
