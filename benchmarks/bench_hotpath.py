@@ -23,7 +23,13 @@ batched stage-2 inference:
    single-canvas API (gated in tiny mode too) and, at full size, faster
    by the ``RENDER_GATES`` ratios (best of 7 each, after
    ``render_baseline.settle_allocator``).  ``render_baseline.py`` adds
-   another tree's render times to these rows.
+   another tree's render times to these rows;
+6. **clip bind** — for the stream-classify and stream-reuse clip shapes,
+   ``BatchSensorReadout.from_images(frames, out=buf)`` is timed on the
+   clip's own checked frames (no range check) and on a ``list`` of the
+   same arrays (range-checked), best of 7 each.  Both bindings must give
+   bit-identical whole-frame voltages and ``region`` windows (gated in
+   tiny mode too).
 
 Everything measured lands in ``BENCH_hotpath.json`` at the repo root —
 the first entry of the ROADMAP's perf trajectory.
@@ -56,6 +62,7 @@ from repro.core import HiRISEConfig, classify_crops
 from repro.datasets.shapes import draw_person, draw_vehicle
 from repro.ml import CropClassifier, tiny_cnn
 from repro.ml.classifier.crop import FLOAT32_LOGIT_ATOL, FLOAT32_LOGIT_RTOL
+from repro.sensor import BatchSensorReadout, NoiseModel
 from repro.service import (
     SOURCES,
     ComponentRef,
@@ -84,6 +91,10 @@ RENDER_GATES = {
     "stream-classify": 2.5,
     "stream-reuse": 2.0,
 }
+#: The clip shapes whose binding check 6 times (the stream workloads).
+BIND_CLIPS = ("stream-classify", "stream-reuse")
+#: Fixed-pattern noise, so both bindings apply the same per-pixel maps.
+BIND_NOISE = NoiseModel(prnu=0.01, dsnu=0.001, seed=7)
 SCENES = {
     "pedestrian_clip": (source._pedestrian_scene, "n_walkers"),
     "drone_traffic_clip": (source._drone_scene, "n_vehicles"),
@@ -302,6 +313,48 @@ def test_hotpath(benchmark, emit):
         emit("check 5: frame-batched render beats the per-frame loop on every shape")
     pair = [rows[name] for name in SERVE_PAIR]
 
+    # -- 6. clip bind: the clip's checked frames vs a list of the same arrays -
+    bind_rows = {}
+    table = Table(
+        f"clip bind, best of {RENDER_ROUNDS} (BatchSensorReadout.from_images on "
+        "a list of the frames vs the clip's checked frames)",
+        ["clip", "frames", "resolution", "list ms", "checked ms", "speedup"],
+        aligns=["l", "r", "r", "r", "r", "r"],
+    )
+    for name in BIND_CLIPS:
+        function, kwargs = RENDER_CLIPS[name]
+        clip = getattr(source, function)(seed=RENDER_SEED, **kwargs)
+        frames = list(clip.frames)
+        width, height = kwargs["resolution"]
+        buf = np.empty((height, width, 3))
+        listed = BatchSensorReadout.from_images(frames, noise=BIND_NOISE, out=buf)
+        checked = BatchSensorReadout.from_images(clip.frames, noise=BIND_NOISE)
+        for a, b in zip(listed.readouts, checked.readouts, strict=True):
+            # The window first, while neither whole frame is exposed yet.
+            window = (width // 3, height // 4, width // 2, height // 3)
+            assert a.array.region(*window).tobytes() == b.array.region(*window).tobytes()
+            assert a.array.voltages.tobytes() == b.array.voltages.tobytes(), name
+        list_ms = best_ms(
+            lambda: BatchSensorReadout.from_images(frames, noise=BIND_NOISE, out=buf)
+        )
+        checked_ms = best_ms(
+            lambda: BatchSensorReadout.from_images(clip.frames, noise=BIND_NOISE, out=buf)
+        )
+        bind_rows[name] = {
+            "n_frames": kwargs["n_frames"],
+            "resolution": list(kwargs["resolution"]),
+            "list_ms": list_ms,
+            "checked_ms": checked_ms,
+            "speedup": list_ms / checked_ms,
+            "bit_identical": True,
+        }
+        table.add_row(
+            name, str(kwargs["n_frames"]), f"{width}x{height}", f"{list_ms:.3f}",
+            f"{checked_ms:.3f}", f"{list_ms / checked_ms:.1f}x",
+        )
+    emit("\n" + table.render())
+    emit(f"check 6: checked and listed bindings bit-identical ({len(bind_rows)} shapes)")
+
     payload = {
         "experiment": "hotpath",
         "tiny": TINY,
@@ -340,6 +393,7 @@ def test_hotpath(benchmark, emit):
                 "render_ms": sweep_ms,
             },
         },
+        "clip_bind": {"rounds": RENDER_ROUNDS, "seed": RENDER_SEED, "rows": bind_rows},
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     emit(f"wrote {OUTPUT.name}")

@@ -1,6 +1,7 @@
 """Behavioral image-sensor model (the HiRISE in-sensor compression unit).
 
-Public surface: :class:`PixelArray`, :class:`NoiseModel`, :class:`ADCModel`,
+Public surface: :class:`PixelArray` (and the :class:`CheckedFrames` it
+binds without a second range check), :class:`NoiseModel`, :class:`ADCModel`,
 :class:`AnalogPoolingModel`, :class:`SensorReadout` plus the grayscale and
 pooling primitives.
 """
@@ -8,7 +9,7 @@ pooling primitives.
 from .adc import ADCModel
 from .grayscale import LUMA_WEIGHTS, analog_grayscale, digital_grayscale
 from .noise import NoiseModel
-from .pixel_array import PixelArray
+from .pixel_array import CheckedFrames, PixelArray
 from .pooling import (
     AnalogPoolingModel,
     block_reduce_mean,
@@ -27,6 +28,7 @@ __all__ = [
     "ADCModel",
     "AnalogPoolingModel",
     "BatchSensorReadout",
+    "CheckedFrames",
     "LUMA_WEIGHTS",
     "NoiseModel",
     "PixelArray",

@@ -15,11 +15,13 @@ change any of the paper's comparisons, which all happen pre-demosaic.
 Exposure is on demand: an array validates its scene up front, then
 exposes only what a read asks for (the whole frame, or a ROI window),
 so a frame read only at its ROIs never pays a whole-frame exposure.
+A scene checked once before (:class:`CheckedFrames`, a clip's frames)
+skips the range check however often it is bound.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -60,6 +62,38 @@ def _check_scene(image: np.ndarray) -> None:
     # and propagates through min/max, is rejected too.
     if not (float(image.min()) >= -1e-9 and float(image.max()) <= 1.0 + 1e-9):
         raise ValueError("float image values must lie in [0, 1]")
+
+
+class CheckedFrames(tuple):
+    """Scene frames that passed :func:`_scene_shape` and :func:`_check_scene`,
+    each frozen read-only in place.
+
+    Building one is the check, so the type itself says the frames were
+    checked, and a frozen frame cannot change after it.  Binding skips
+    the range check for such frames (:meth:`PixelArray.from_image_batch`).
+    Frames may differ in size; binding still checks the shapes.  A slice
+    is a ``CheckedFrames`` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, frames: "Iterable[np.ndarray]") -> "CheckedFrames":
+        frames = tuple(frames)
+        for frame in frames:
+            _scene_shape(frame)
+            _check_scene(frame)
+        # Only a sequence that passed freezes: a failed check leaves the
+        # caller's frames as they were.
+        for frame in frames:
+            frame.flags.writeable = False
+        return super().__new__(cls, frames)
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        if isinstance(index, slice):
+            # Frames of a checked sequence: no second check.
+            return tuple.__new__(CheckedFrames, item)
+        return item
 
 
 def _expose(
@@ -165,7 +199,8 @@ class PixelArray:
             image: ``(H, W, 3)`` or ``(H, W)`` array of a bool, integer or
                 floating dtype; uint8 images are scaled by 1/255, others
                 must already be in [0, 1].  It is validated here and held
-                by reference, so it must not change before it is read.
+                by reference, so it must not change before it is read (a
+                clip's frames are frozen read-only, which enforces that).
             vdd: full-scale voltage.
             noise: noise model; fixed-pattern (PRNU gain / DSNU offset)
                 deviations are part of every exposed voltage, because
@@ -189,9 +224,11 @@ class PixelArray:
         Every check runs on every frame before any array is returned:
         shape, one resolution per batch, dtype, and range (NaN
         included), so a bad frame fails its whole batch before any frame
-        of it is read.  Exposure waits for each array's first read.  The
-        fixed-pattern maps depend only on the noise model and the frame
-        shape, so the batch shares one memoized pair.
+        of it is read.  :class:`CheckedFrames` passed dtype and range
+        when they were built, so only their shapes are checked here.
+        Exposure waits for each array's first read.  The fixed-pattern
+        maps depend only on the noise model and the frame shape, so the
+        batch shares one memoized pair.
 
         Args:
             images: scene images, all of the same spatial size.
@@ -219,8 +256,9 @@ class PixelArray:
                 f"out: expected a ({h}, {w}, 3) float64 buffer, got shape "
                 f"{out.shape} dtype {out.dtype}"
             )
-        for image in images:
-            _check_scene(image)
+        if not isinstance(images, CheckedFrames):
+            for image in images:
+                _check_scene(image)
         maps = None if noise.is_noiseless() else noise.fixed_pattern_maps((h, w, 3))
         arrays = []
         for image in images:

@@ -209,7 +209,10 @@ class BatchSensorReadout:
         """Validate a run of frames and bind per-frame readout chains.
 
         Args:
-            frames: scene images, all of one resolution.
+            frames: scene images, all of one resolution.  A
+                :class:`~repro.sensor.CheckedFrames` (a clip's frames, or
+                a slice of them) skips the range check it passed when it
+                was built; its shapes are still checked.
             adc_bits: converter precision (shared).
             noise: sensor noise model (shared silicon).
             pooling: behavioral pooling model (shared circuitry).

@@ -16,6 +16,8 @@ User extensions follow the same pattern::
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from ..datasets.profiles import (
@@ -44,9 +46,20 @@ from .registry import (
 
 
 def _resolution(params: dict, default: tuple[int, int]) -> tuple[int, int]:
+    """The ``resolution`` param: a ``(width, height)`` pair of positive
+    integers, never bools or floats (the :mod:`repro.codec` int rule)."""
     value = params.pop("resolution", default)
-    if not (len(value) == 2 and all(int(v) > 0 for v in value)):
-        raise ValueError(f"source.resolution must be a (width, height) pair, got {value!r}")
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool) and v > 0
+            for v in value
+        )
+    ):
+        raise ValueError(
+            f"resolution must be a (width, height) pair of positive ints, got {value!r}"
+        )
     return (int(value[0]), int(value[1]))
 
 

@@ -4,9 +4,11 @@
 engine with one loop body for every window size and both pipelines:
 
 * **bind** — each flush of ``window`` frames (``window=1`` is a window of
-  one) is validated in one call
-  (:class:`~repro.sensor.BatchSensorReadout`), so a bad frame fails
-  before any frame of its window is served;
+  one) is bound in one call (:class:`~repro.sensor.BatchSensorReadout`),
+  which checks every frame's shape and range, so a bad frame fails
+  before any frame of its window is served.  A clip's frames
+  (:class:`~repro.sensor.CheckedFrames`) passed the range check when
+  the clip was built, so binding checks only their shapes;
 * **serve** — each frame's :class:`~repro.sensor.PixelArray` then goes to
   ``pipeline.run``, or, when a reuse policy
   (:class:`~repro.stream.TemporalROIReuse`,
@@ -37,7 +39,7 @@ import numpy as np
 
 from ..core.pipeline import ConventionalPipeline, HiRISEPipeline
 from ..core.profiling import profiled
-from ..sensor import BatchSensorReadout
+from ..sensor import BatchSensorReadout, CheckedFrames
 from .ledger import FrameStats, StreamOutcome
 from .reuse import KeyframeReuse, TemporalROIReuse
 
@@ -144,12 +146,15 @@ class StreamRunner:
         Args:
             frames: the clip — any iterable of ``(H, W, 3)`` or ``(H, W)``
                 images (a list, a generator, a dataset loader).  At most
-                ``window`` frames are materialized at a time.
+                ``window`` frames are materialized at a time.  A clip's
+                :class:`~repro.sensor.CheckedFrames` are not range-checked
+                again; any other iterable is, frame by frame.
             frame_seeds: per-frame temporal-noise seeds (default: indices).
             on_frame: optional callback invoked with the frame index before
                 the frame is served (stateful detectors, loggers): it
                 precedes the frame's exposure, its reads and its detector
-                call.  Only the window's validation runs earlier.
+                call.  Only the binding of its window (the frames' checks)
+                runs earlier.
 
         Returns:
             :class:`StreamOutcome` with per-frame stats and totals.
@@ -165,13 +170,16 @@ class StreamRunner:
             # never detected.
             self.reuse.reset()
         start = time.perf_counter()
+        # A clip's frames were checked when it was built: each window is
+        # then bound as a slice of them, which skips the range check.
+        checked = frames if isinstance(frames, CheckedFrames) else None
         chunk: list[tuple[int, int, np.ndarray]] = []
         for item in _seeded(frames, frame_seeds, self.label):
             chunk.append(item)
             if len(chunk) == self.window:
-                self._flush(chunk, on_frame, outcome)
+                self._flush(chunk, on_frame, outcome, checked)
         if chunk:
-            self._flush(chunk, on_frame, outcome)
+            self._flush(chunk, on_frame, outcome, checked)
         outcome.wall_time_s = time.perf_counter() - start
         return outcome
 
@@ -189,16 +197,23 @@ class StreamRunner:
             self._expose_buf = np.empty(shape, dtype=np.float64)
         return self._expose_buf
 
-    def _flush(self, chunk, on_frame, stream: StreamOutcome) -> None:
-        """Validate one window, then serve its frames in stream order."""
+    def _flush(self, chunk, on_frame, stream: StreamOutcome, checked) -> None:
+        """Bind one window, then serve its frames in stream order.
+
+        ``checked`` is the run's :class:`~repro.sensor.CheckedFrames`, or
+        ``None`` when its frames came as any other iterable.
+        """
         pipeline, policy = self.pipeline, self.reuse
-        # One span per flush: it validates the window and binds a readout
+        if checked is None:
+            frames = [frame for _, _, frame in chunk]
+        else:
+            first = chunk[0][0]
+            frames = checked[first : first + len(chunk)]
+        # One span per flush: it checks the window and binds a readout
         # chain to each frame; each read exposes what it reads.
         with profiled(pipeline.profiler, "expose"):
             batch = BatchSensorReadout.from_images(
-                [frame for _, _, frame in chunk],
-                noise=pipeline.noise,
-                out=self._exposure_buffer(chunk),
+                frames, noise=pipeline.noise, out=self._exposure_buffer(chunk)
             )
         for (idx, seed, _), readout in zip(chunk, batch.readouts):
             if on_frame is not None:

@@ -16,6 +16,7 @@ do.  Swap in ``repro.ml.CorrelationDetector`` for a learned stage 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -24,6 +25,7 @@ import numpy as np
 from ..datasets.shapes import draw_person_stack, draw_vehicle_stack
 from ..datasets.textures import colorize, value_noise
 from ..ml import Detection
+from ..sensor import CheckedFrames
 
 #: ``(x, y, w, h)`` ground-truth box in array coordinates.
 Box = tuple[float, float, float, float]
@@ -52,15 +54,27 @@ class Actor:
 class SyntheticClip:
     """A generated clip plus its ground truth.
 
+    A clip checks its frames once, when it is built (a render, a scene
+    sweep, any source) or enters a process (:meth:`__setstate__`: pickle,
+    a disk-tier load, a shared-memory attach).  Its ``frames`` are then a
+    :class:`~repro.sensor.CheckedFrames`, each frozen read-only, so no
+    request that streams the clip checks them again.  A frame that
+    cannot become voltages fails the build with a ``ValueError``.
+
     Attributes:
-        frames: ``(H, W, 3)`` float images in [0, 1].
+        frames: ``(H, W, 3)`` float images in [0, 1] (any sequence of
+            scene images is accepted and checked).
         ground_truth: per-frame actor boxes, aligned with ``frames``.
         resolution: ``(width, height)``.
     """
 
-    frames: list[np.ndarray]
+    frames: Sequence[np.ndarray]
     ground_truth: list[list[Box]]
     resolution: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.frames, CheckedFrames):
+            object.__setattr__(self, "frames", CheckedFrames(self.frames))
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -74,8 +88,8 @@ class SyntheticClip:
     # executor, spawn-safe work units), so pickling must be cheap: a
     # uniform clip serializes as ONE contiguous (N, H, W, C) block
     # instead of N separately-framed arrays.  Restored frames are views
-    # into that block — read-only consumers (every pipeline path copies
-    # before mutating) see bit-identical data.
+    # into that block, checked once more (the bytes came from outside
+    # this process) and frozen read-only like the originals.
 
     def __getstate__(self) -> dict:
         state = {"ground_truth": self.ground_truth, "resolution": self.resolution}
@@ -83,13 +97,14 @@ class SyntheticClip:
         if self.frames and uniform:
             state["frame_stack"] = np.stack(self.frames)
         else:
-            state["frames"] = self.frames
+            # A plain list: unpickling then checks it once, below.
+            state["frames"] = list(self.frames)
         return state
 
     def __setstate__(self, state: dict) -> None:
         stack = state.pop("frame_stack", None)
-        frames = list(stack) if stack is not None else state.pop("frames")
-        object.__setattr__(self, "frames", frames)
+        frames = stack if stack is not None else state.pop("frames")
+        object.__setattr__(self, "frames", CheckedFrames(frames))
         object.__setattr__(self, "ground_truth", state["ground_truth"])
         object.__setattr__(self, "resolution", state["resolution"])
 
@@ -139,13 +154,21 @@ def _render_clip(
 
 
 def _check_motion(count_name: str, count: int, speed: float, jitter: float) -> None:
-    """Reject source parameters that would render garbage or nothing."""
+    """Reject source parameters that would render garbage or nothing.
+
+    One spelling per value, as in :mod:`repro.codec`: a count is an
+    integer and never a bool or a float, ``speed`` and ``jitter`` are
+    real numbers and never bools.  NumPy scalars count as their kind.
+    """
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValueError(f"{count_name} must be an int, got {count!r}")
     if count < 0:
         raise ValueError(f"{count_name} must be >= 0, got {count}")
-    if not math.isfinite(speed):
-        raise ValueError(f"speed must be finite, got {speed}")
-    if not math.isfinite(jitter):
-        raise ValueError(f"jitter must be finite, got {jitter}")
+    for name, value in (("speed", speed), ("jitter", jitter)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if jitter < 0:
         raise ValueError(f"jitter must be >= 0, got {jitter}")
 
@@ -170,8 +193,9 @@ def pedestrian_clip(
             motion, the friendliest case for ROI reuse).
 
     Raises:
-        ValueError: a negative ``n_walkers`` or ``jitter``, or a
-            non-finite ``speed`` or ``jitter``.
+        ValueError: an ``n_walkers`` that is not a non-negative int, a
+            ``speed`` or ``jitter`` that is not a finite real (a bool
+            included), or a negative ``jitter``.
     """
     _check_motion("n_walkers", n_walkers, speed, jitter)
     backdrop, actors = _pedestrian_scene(resolution, n_walkers, seed, speed)
@@ -221,8 +245,9 @@ def drone_traffic_clip(
     Vehicles drive along horizontal lanes at lane-dependent speeds.
 
     Raises:
-        ValueError: a negative ``n_vehicles`` or ``jitter``, or a
-            non-finite ``speed`` or ``jitter``.
+        ValueError: an ``n_vehicles`` that is not a non-negative int, a
+            ``speed`` or ``jitter`` that is not a finite real (a bool
+            included), or a negative ``jitter``.
     """
     _check_motion("n_vehicles", n_vehicles, speed, jitter)
     backdrop, actors = _drone_scene(resolution, n_vehicles, seed, speed)

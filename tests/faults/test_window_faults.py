@@ -1,10 +1,12 @@
-"""Worker crash mid-window: the whole window re-dispatches bit-identically.
+"""Worker crash mid-stream: the request re-dispatches bit-identically.
 
-The windowed runner holds a flush of frames in flight when a worker dies,
-so recovery has more state to lose than the per-frame path: a respawned
-worker must re-expose the whole window into a *fresh* preallocated buffer
-and reproduce every frame — including reuse decisions whose history spans
-window boundaries — exactly as a fault-free serial run would.
+A windowed runner binds a window of frames, then serves them one at a
+time: each frame is exposed by the read that asks for it, and stage-1
+frames share the runner's one exposure buffer.  When a worker dies with
+a windowed request in flight, the request goes to a respawned worker,
+whose fresh runner serves it again from frame 0.  Every frame —
+including reuse decisions whose history spans window boundaries — must
+come out exactly as in a fault-free serial run.
 """
 
 import pytest

@@ -10,7 +10,7 @@ carries the same promise: the :class:`~repro.stream.StreamOutcome` is
 involved.  This suite states that promise as a property and sweeps the
 whole grid:
 
-    (window size x reuse policy x source x seed x executor)
+    (window size x reuse policy x source x seed x executor x frame sequence)
 
 Equality is exact — frozen-dataclass ``FrameStats`` rows compare field by
 field, kept :class:`PipelineOutcome`\\ s compare array by array with
@@ -138,12 +138,23 @@ def _pipeline(clip):
     return pipeline, on_frame
 
 
-def _run(clip, *, window: int, policy: str, frame_seeds) -> object:
+#: How the runner receives a clip's frames.  Its own checked sequence
+#: is bound without a second range check; a list of the same arrays or a
+#: generator is checked frame by frame.  Both paths must match the oracle.
+FRAMES_AS = {
+    "clip": lambda frames: frames,
+    "list": list,
+    "generator": lambda frames: (frame for frame in frames),
+}
+
+
+def _run(clip, *, window: int, policy: str, frame_seeds, frames_as="clip") -> object:
     pipeline, on_frame = _pipeline(clip)
     runner = StreamRunner(
         pipeline, reuse=_policy(policy), window=window, keep_outcomes=True
     )
-    return runner.run(clip.frames, frame_seeds=frame_seeds, on_frame=on_frame)
+    frames = FRAMES_AS[frames_as](clip.frames)
+    return runner.run(frames, frame_seeds=frame_seeds, on_frame=on_frame)
 
 
 def _oracle(clip, *, policy: str, frame_seeds) -> object:
@@ -161,12 +172,14 @@ class TestRunnerWindowEquivalence:
         policy=st.sampled_from(POLICY_NAMES),
         speed=st.sampled_from([0.0, 2.0]),
         seed_base=st.none() | st.integers(0, 1000),
+        frames_as=st.sampled_from(list(FRAMES_AS)),
     )
     @settings(max_examples=30, deadline=None)
     def test_any_window_matches_per_frame_oracle(
-        self, n_frames, window, clip_seed, policy, speed, seed_base
+        self, n_frames, window, clip_seed, policy, speed, seed_base, frames_as
     ):
-        """For any (clip, seeds, policy, window): runner == per-frame loop."""
+        """For any (clip, seeds, policy, window, frames_as): runner ==
+        per-frame loop."""
         clip = _clip(n_frames, clip_seed, speed)
         frame_seeds = (
             None
@@ -174,7 +187,13 @@ class TestRunnerWindowEquivalence:
             else [seed_base + 13 * i for i in range(n_frames)]
         )
         oracle = _oracle(clip, policy=policy, frame_seeds=frame_seeds)
-        got = _run(clip, window=window, policy=policy, frame_seeds=frame_seeds)
+        got = _run(
+            clip,
+            window=window,
+            policy=policy,
+            frame_seeds=frame_seeds,
+            frames_as=frames_as,
+        )
         assert_streams_equal(got, oracle)
 
     def test_reuse_actually_exercised(self):

@@ -1,11 +1,12 @@
 """Windowed scenarios through the live daemon: stream order + bit-identity.
 
-The windowed runner computes stage-1 for a whole flush before any frame's
-stats are recorded, so this suite pins down the serving-layer contract
-that windowing must not disturb: streamed :class:`FrameStats` rows still
-arrive one per frame, in frame order, and the reassembled result equals
-both the daemon's own non-streaming reply and a fresh serial engine —
-exactly.
+A windowed runner binds a window of frames up front, then serves them
+one at a time: each frame runs its stages and its stats row is recorded
+before the next frame starts.  This suite pins down the serving-layer
+contract that windowing must not disturb: streamed :class:`FrameStats`
+rows arrive one per frame, in frame order, and the reassembled result
+equals both the daemon's own non-streaming reply and a fresh serial
+engine — exactly.
 """
 
 import pytest

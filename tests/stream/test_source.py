@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.service import SOURCES as SOURCE_REGISTRY
 from repro.service import ComponentRef, Engine, ScenarioSpec, SpecError, SystemSpec
 from repro.stream.source import drone_traffic_clip, pedestrian_clip
 
@@ -20,7 +21,28 @@ BAD_MOTION = [
     ("jitter", math.nan, "jitter must be finite"),
     ("jitter", math.inf, "jitter must be finite"),
     ("jitter", -0.5, "jitter must be >= 0"),
+    # One spelling per value: a bool is not a number, a string is not one.
+    ("speed", True, "speed must be a real number, got True"),
+    ("speed", "2", "speed must be a real number, got '2'"),
+    ("jitter", False, "jitter must be a real number, got False"),
 ]
+
+#: Counts follow the codec's int rule: never a bool, never a float.
+BAD_COUNTS = [True, False, 2.0, "3", None]
+
+#: ``resolution`` is a pair of positive ints and nothing else.
+BAD_RESOLUTIONS = [
+    [64.5, 48],
+    [64.0, 48.0],
+    [True, True],
+    [64, 0],
+    [64, -48],
+    [64, 48, 3],
+    64,
+    "ab",
+    None,
+]
+RESOLUTION_MESSAGE = r"resolution must be a \(width, height\) pair of positive ints"
 
 
 class TestSourceParameters:
@@ -34,6 +56,18 @@ class TestSourceParameters:
     def test_negative_count_is_rejected_by_name(self, name, make, count):
         with pytest.raises(ValueError, match=f"{count} must be >= 0"):
             make(n_frames=2, resolution=(32, 24), seed=1, **{count: -2})
+
+    @pytest.mark.parametrize("name, make, count", SOURCES)
+    @pytest.mark.parametrize("value", BAD_COUNTS)
+    def test_a_count_must_be_an_int(self, name, make, count, value):
+        with pytest.raises(ValueError, match=f"{count} must be an int, got {value!r}"):
+            make(n_frames=2, resolution=(32, 24), seed=1, **{count: value})
+
+    @pytest.mark.parametrize("source", ["pedestrian", "drone", "crowdhuman-scenes"])
+    @pytest.mark.parametrize("value", BAD_RESOLUTIONS)
+    def test_a_resolution_must_be_a_pair_of_positive_ints(self, source, value):
+        with pytest.raises(ValueError, match=RESOLUTION_MESSAGE):
+            SOURCE_REGISTRY.get(source)(2, 1, resolution=value)
 
     @pytest.mark.parametrize("name, make, count", SOURCES)
     def test_no_actors_renders_the_backdrop_only(self, name, make, count):
@@ -59,6 +93,29 @@ class TestSourceParameters:
             seed=1,
         )
         with pytest.raises(SpecError, match=f"scenario.source '{name}': {message}"):
+            engine.run(request)
+
+    @pytest.mark.parametrize("name, make, count", SOURCES)
+    @pytest.mark.parametrize("value", [True, 2.0])
+    def test_engine_reports_a_count_that_is_not_an_int(self, name, make, count, value):
+        engine = Engine(SystemSpec(detector=ComponentRef("ground-truth")))
+        request = ScenarioSpec(
+            source=ComponentRef(name, {"resolution": [32, 24], count: value}),
+            n_frames=2,
+            seed=1,
+        )
+        message = f"scenario.source '{name}': {count} must be an int, got {value!r}"
+        with pytest.raises(SpecError, match=message):
+            engine.run(request)
+
+    @pytest.mark.parametrize("source", ["pedestrian", "drone", "visdrone-scenes"])
+    @pytest.mark.parametrize("value", [[64.5, 48], [True, True], 64])
+    def test_engine_reports_a_bad_resolution(self, source, value):
+        engine = Engine(SystemSpec(detector=ComponentRef("ground-truth")))
+        request = ScenarioSpec(
+            source=ComponentRef(source, {"resolution": value}), n_frames=2, seed=1
+        )
+        with pytest.raises(SpecError, match=f"scenario.source '{source}': {RESOLUTION_MESSAGE}"):
             engine.run(request)
 
     @pytest.mark.parametrize("name, make, count", SOURCES)
@@ -98,4 +155,4 @@ class TestFrameBatchedRender:
 
     def test_empty_clip(self):
         clip = pedestrian_clip(n_frames=0, resolution=(32, 24), seed=1)
-        assert clip.frames == [] and clip.ground_truth == []
+        assert list(clip.frames) == [] and clip.ground_truth == []

@@ -75,7 +75,7 @@ class TestSyntheticClipPickle:
     def test_empty_clip_pickles(self):
         clip = SyntheticClip(frames=[], ground_truth=[], resolution=(8, 8))
         copy = pickle.loads(pickle.dumps(clip))
-        assert copy.frames == []
+        assert list(copy.frames) == []
         assert copy.resolution == (8, 8)
 
     def test_nbytes_counts_frame_buffers(self):
