@@ -29,7 +29,16 @@ batched stage-2 inference:
    clip's own checked frames (no range check) and on a ``list`` of the
    same arrays (range-checked), best of 7 each.  Both bindings must give
    bit-identical whole-frame voltages and ``region`` windows (gated in
-   tiny mode too).
+   tiny mode too);
+7. **sensor reads** — for the same clip shapes, on a noiseless sensor
+   (each frame bound as its own voltages) and on ``BIND_NOISE`` (fixed
+   pattern plus the default temporal noise, so every read exposes),
+   ``read_compressed(4)`` and a ROI read over each frame's ground-truth
+   boxes are timed against an in-bench reference that exposes the whole
+   frame or each box alone and digitizes each read out of place, best of
+   7 each.  Every pooled frame and crop must be byte-identical to the
+   reference (gated in tiny mode too); at full size the noisy reads must
+   not be slower than the reference, within a 5% timing allowance.
 
 Everything measured lands in ``BENCH_hotpath.json`` at the repo root —
 the first entry of the ROADMAP's perf trajectory.
@@ -62,7 +71,16 @@ from repro.core import HiRISEConfig, classify_crops
 from repro.datasets.shapes import draw_person, draw_vehicle
 from repro.ml import CropClassifier, tiny_cnn
 from repro.ml.classifier.crop import FLOAT32_LOGIT_ATOL, FLOAT32_LOGIT_RTOL
-from repro.sensor import BatchSensorReadout, NoiseModel
+from repro.sensor import (
+    ADCModel,
+    AnalogPoolingModel,
+    BatchSensorReadout,
+    NoiseModel,
+    as_box,
+    block_reduce_mean,
+    clip_box,
+)
+from repro.sensor.pooling import _mismatch_maps
 from repro.service import (
     SOURCES,
     ComponentRef,
@@ -95,6 +113,13 @@ RENDER_GATES = {
 BIND_CLIPS = ("stream-classify", "stream-reuse")
 #: Fixed-pattern noise, so both bindings apply the same per-pixel maps.
 BIND_NOISE = NoiseModel(prnu=0.01, dsnu=0.001, seed=7)
+#: Check 7's sensors: noiseless (every exposure step is an identity) and
+#: ``BIND_NOISE``, whose default temporal noise makes every read draw.
+READ_NOISES = {"noiseless": None, "noisy": BIND_NOISE}
+READ_K = 4
+#: Timing noise a noisy read may show over its reference before it counts
+#: as slower: both draw the same normals, which are most of a noisy read.
+READ_NOISE_ALLOWANCE = 1.05
 SCENES = {
     "pedestrian_clip": (source._pedestrian_scene, "n_walkers"),
     "drone_traffic_clip": (source._drone_scene, "n_vehicles"),
@@ -151,6 +176,77 @@ def render_frame_by_frame(function: str, seed: int, n_frames, resolution, speed,
         frames.append(np.clip(canvas, 0.0, 1.0))
         ground_truth.append(boxes)
     return frames, ground_truth
+
+
+def reference_exposure(frame, noise, rows, cols) -> np.ndarray:
+    """Voltages of one window of a float64 frame at vdd 1, exposed alone:
+    copy, scale by vdd, fixed pattern, clip."""
+    out = np.empty(frame[rows, cols].shape)
+    np.copyto(out, frame[rows, cols])
+    out *= 1.0
+    if noise is not None:
+        gain, offset = noise.fixed_pattern_maps(frame.shape)
+        out *= gain[rows, cols]
+        out += offset[rows, cols]
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+def reference_digitize(voltages, noise, rng) -> np.ndarray:
+    """One read out of place: temporal noise, clip, round to codes,
+    normalize (the pipeline's 8-bit ADC has no input-referred noise)."""
+    adc = ADCModel()
+    if rng is not None:
+        voltages = voltages + noise.temporal_noise(voltages, 1.0, rng)
+    codes = np.rint(np.clip(voltages, 0.0, adc.v_ref) / adc.lsb).astype(np.uint16)
+    return codes.astype(np.float64) / (adc.levels - 1)
+
+
+def reference_pool(voltages) -> np.ndarray:
+    """The default pooling circuit's chain at vdd 1, out of place."""
+    model = AnalogPoolingModel()
+    merged = block_reduce_mean(voltages, READ_K)
+    normalized = np.clip(merged / 1.0, 0.0, 1.0)
+    normalized = normalized - model.compression * normalized * (1.0 - normalized)
+    shared = model.gain * normalized * 1.0 + model.offset_per_vdd * 1.0
+    gain_map, offset_map = _mismatch_maps(model, merged.shape, 1.0)
+    shared = shared * gain_map + offset_map
+    calibrated = (shared - model.offset_per_vdd * 1.0) / model.gain
+    return np.clip(calibrated, 0.0, 1.0)
+
+
+def reference_reads(frames, ground_truth, noise, stage1: bool) -> list:
+    """Each frame's pooled frame (``stage1``) or ROI crops (each clipped box
+    exposed and digitized alone), in order, from reads ``(seed, 1)``,
+    ``(seed, 2)``, ..."""
+    whole = slice(None)
+    reads = []
+    for seed, (frame, boxes) in enumerate(zip(frames, ground_truth)):
+        def rng(n):
+            return None if noise is None else np.random.default_rng((seed, n))
+
+        if stage1:
+            pooled = reference_pool(reference_exposure(frame, noise, whole, whole))
+            reads.append(reference_digitize(pooled, noise, rng(1)))
+        else:
+            height, width = frame.shape[:2]
+            clipped = [clip_box(as_box(b), width, height) for b in boxes]
+            for n, (x, y, w, h) in enumerate((b for b in clipped if b), start=1):
+                window = reference_exposure(frame, noise, slice(y, y + h), slice(x, x + w))
+                reads.append(reference_digitize(window, noise, rng(n)))
+    return reads
+
+
+def sensor_reads(frames, ground_truth, noise, buf, stage1: bool) -> list:
+    """The same reads through a fresh binding of the clip's frames."""
+    readouts = BatchSensorReadout.from_images(frames, noise=noise, out=buf).readouts
+    if stage1:
+        return [r.read_compressed(READ_K).images for r in readouts]
+    return [
+        crop
+        for r, boxes in zip(readouts, ground_truth)
+        for crop in r.read_rois(boxes).images
+    ]
 
 
 def profiled_scenario() -> tuple[SystemSpec, ScenarioSpec]:
@@ -355,6 +451,59 @@ def test_hotpath(benchmark, emit):
     emit("\n" + table.render())
     emit(f"check 6: checked and listed bindings bit-identical ({len(bind_rows)} shapes)")
 
+    # -- 7. sensor reads: one pass per read vs each read exposed alone -------
+    read_rows = {}
+    table = Table(
+        f"sensor reads, best of {RENDER_ROUNDS} per clip (read_compressed({READ_K}) "
+        "and a ROI read over the ground-truth boxes vs each read exposed alone)",
+        ["clip", "sensor", "read", "reference ms", "ms", "speedup"],
+        aligns=["l", "l", "l", "r", "r", "r"],
+    )
+    for name in BIND_CLIPS:
+        function, kwargs = RENDER_CLIPS[name]
+        clip = getattr(source, function)(seed=RENDER_SEED, **kwargs)
+        width, height = kwargs["resolution"]
+        buf = np.empty((height, width, 3))
+        for sensor, noise in READ_NOISES.items():
+            row = {"n_frames": kwargs["n_frames"], "resolution": [width, height]}
+            bound = BatchSensorReadout.from_images(clip.frames, noise=noise, out=buf)
+            row["frames_are_voltages"] = all(
+                np.shares_memory(r.array.voltages, f)
+                for r, f in zip(bound.readouts, clip.frames)
+            )
+            for read, stage1 in (("stage1", True), ("roi", False)):
+                args = (clip.frames, clip.ground_truth, noise)
+                got = sensor_reads(*args, buf, stage1)
+                want = reference_reads(*args, stage1)
+                assert len(got) == len(want) > 0, (name, sensor, read)
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes(), f"{name} {sensor} {read}: != reference"
+                ms = best_ms(lambda: sensor_reads(*args, buf, stage1))
+                reference_ms = best_ms(lambda: reference_reads(*args, stage1))
+                row[f"{read}_ms"] = ms
+                row[f"{read}_reference_ms"] = reference_ms
+                row[f"{read}_speedup"] = reference_ms / ms
+                table.add_row(
+                    name, sensor, read, f"{reference_ms:.2f}", f"{ms:.2f}",
+                    f"{reference_ms / ms:.2f}x",
+                )
+            row["bit_identical"] = True
+            read_rows[f"{name} {sensor}"] = row
+    emit("\n" + table.render())
+    emit(f"check 7: sensor reads byte-identical to the reference ({len(read_rows)} rows)")
+    if TINY:
+        emit("check 7: speed gate skipped (tiny smoke mode)")
+    else:
+        for key, row in read_rows.items():
+            if key.endswith("noisy"):
+                for read in ("stage1", "roi"):
+                    limit = row[f"{read}_reference_ms"] * READ_NOISE_ALLOWANCE
+                    assert row[f"{read}_ms"] <= limit, (
+                        f"{key} {read}: {row[f'{read}_ms']:.2f} ms, slower than "
+                        f"the reference's {row[f'{read}_reference_ms']:.2f} ms"
+                    )
+        emit("check 7: noisy reads no slower than the reference (5% timing allowance)")
+
     payload = {
         "experiment": "hotpath",
         "tiny": TINY,
@@ -394,6 +543,12 @@ def test_hotpath(benchmark, emit):
             },
         },
         "clip_bind": {"rounds": RENDER_ROUNDS, "seed": RENDER_SEED, "rows": bind_rows},
+        "sensor_reads": {
+            "rounds": RENDER_ROUNDS,
+            "seed": RENDER_SEED,
+            "pool_k": READ_K,
+            "rows": read_rows,
+        },
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     emit(f"wrote {OUTPUT.name}")

@@ -7,7 +7,7 @@ pooling primitives.
 """
 
 from .adc import ADCModel
-from .grayscale import LUMA_WEIGHTS, analog_grayscale, digital_grayscale
+from .grayscale import LUMA_WEIGHTS, analog_grayscale
 from .noise import NoiseModel
 from .pixel_array import CheckedFrames, PixelArray
 from .pooling import (
@@ -40,5 +40,4 @@ __all__ = [
     "block_reduce_mean",
     "clip_box",
     "digital_avg_pool",
-    "digital_grayscale",
 ]

@@ -69,31 +69,59 @@ class ADCModel:
 
     # -- conversion ------------------------------------------------------------
 
+    def add_noise(
+        self, voltages: np.ndarray, rng: np.random.Generator | None = None
+    ) -> None:
+        """Add input-referred noise to float64 ``voltages`` in place.
+
+        Args:
+            voltages: analog samples (any shape); nothing is drawn or
+                added when ``noise_lsb`` is 0.
+            rng: generator for the noise; callers with their own noise
+                bookkeeping (the readout paths thread a per-read
+                generator here) pass it explicitly.  When omitted, this
+                instance's own seeded stream is used and *advanced*, so
+                consecutive conversions draw distinct noise —
+                deterministic given ``seed``, never repeating.
+        """
+        if self.noise_lsb > 0.0:
+            if rng is None:
+                noise = self._fallback_noise(voltages.shape)
+            else:
+                noise = rng.standard_normal(voltages.shape)
+            noise *= self.noise_lsb * self.lsb
+            voltages += noise
+
+    def _codes(self, voltages: np.ndarray) -> np.ndarray:
+        """Clip float64 ``voltages`` to ``[0, v_ref]`` and round them to
+        codes, in place; returns them."""
+        np.clip(voltages, 0.0, self.v_ref, out=voltages)
+        voltages /= self.lsb
+        return np.rint(voltages, out=voltages)
+
+    def quantize(self, voltages: np.ndarray) -> None:
+        """Replace float64 ``voltages`` by their normalized codes in place:
+        each sample becomes its code over ``levels - 1``, as
+        :meth:`to_float` of :meth:`convert` gives it."""
+        self._codes(voltages)
+        # A -0.0 sample survives the clip and the rounding; the integer
+        # code it stands for is 0.
+        voltages += 0.0
+        voltages /= self.levels - 1
+
     def convert(self, voltages: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         """Quantize analog voltages to integer codes.
 
         Args:
             voltages: analog samples (any shape), clipped to ``[0, v_ref]``.
-            rng: generator for input-referred noise; callers with their
-                own noise bookkeeping (the readout paths thread a
-                per-frame generator here) pass it explicitly.  When
-                omitted, this instance's own seeded stream is used and
-                *advanced*, so consecutive conversions draw distinct
-                noise — deterministic given ``seed``, never repeating.
+            rng: generator for input-referred noise (see :meth:`add_noise`).
 
         Returns:
             ``uint16`` code array of the same shape.
         """
-        v = np.asarray(voltages, dtype=np.float64)
-        if self.noise_lsb > 0.0:
-            if rng is None:
-                noise = self._fallback_noise(v.shape)
-            else:
-                noise = rng.standard_normal(v.shape)
-            v = v + self.noise_lsb * self.lsb * noise
-        v = np.clip(v, 0.0, self.v_ref)
-        codes = np.rint(v / self.lsb).astype(np.uint16)
-        return codes
+        v = np.array(voltages, dtype=np.float64)
+        self.add_noise(v, rng)
+        return self._codes(v).astype(np.uint16)
 
     def to_float(self, codes: np.ndarray) -> np.ndarray:
         """Map codes back to normalized [0, 1] values."""
@@ -102,8 +130,12 @@ class ADCModel:
     def digitize(
         self, voltages: np.ndarray, rng: np.random.Generator | None = None
     ) -> np.ndarray:
-        """Convert and normalize in one step (the usual readout path)."""
-        return self.to_float(self.convert(voltages, rng=rng))
+        """Convert and normalize in one step (the usual readout path):
+        ``to_float(convert(voltages, rng))``, on one fresh copy."""
+        v = np.array(voltages, dtype=np.float64)
+        self.add_noise(v, rng)
+        self.quantize(v)
+        return v
 
     # -- accounting -------------------------------------------------------------
 

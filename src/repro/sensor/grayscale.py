@@ -1,12 +1,12 @@
-"""Analog and digital grayscale conversion.
+"""Analog grayscale conversion, and the digital path's luma weights.
 
 HiRISE's optional grayscale step merges the three color channels *in the
 analog domain* by wiring the R, G and B pixels of a site into the averaging
 circuit together — so in-sensor grayscale is the **unweighted mean** of the
 three channels.  In-processor (digital) grayscale conventionally uses the
-ITU-R BT.601 luma weights.  The two therefore differ slightly; the paper
-handles this by retraining the stage-1 model on the grayscale it will see,
-and our Table 2 bench mirrors that.
+ITU-R BT.601 luma weights (:data:`LUMA_WEIGHTS`).  The two therefore
+differ slightly; the paper handles this by retraining the stage-1 model on
+the grayscale it will see, and our Table 2 bench mirrors that.
 """
 
 from __future__ import annotations
@@ -37,17 +37,3 @@ def analog_grayscale(voltages: np.ndarray) -> np.ndarray:
     merged += voltages[..., 2]
     merged /= 3
     return merged
-
-
-def digital_grayscale(image: np.ndarray) -> np.ndarray:
-    """BT.601 luma conversion — what an in-processor pipeline computes.
-
-    Args:
-        image: ``(H, W, 3)`` digital image (any float scale).
-
-    Returns:
-        ``(H, W)`` luma image in the same scale.
-    """
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3), got {image.shape}")
-    return image @ LUMA_WEIGHTS

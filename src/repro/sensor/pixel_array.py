@@ -16,7 +16,10 @@ Exposure is on demand: an array validates its scene up front, then
 exposes only what a read asks for (the whole frame, or a ROI window),
 so a frame read only at its ROIs never pays a whole-frame exposure.
 A scene checked once before (:class:`CheckedFrames`, a clip's frames)
-skips the range check however often it is bound.
+skips the range check however often it is bound.  On a sensor with no
+fixed pattern at ``vdd`` 1, every exposure step is an identity, so a
+checked float64 frame inside [0, 1] is bound as its own voltages and
+never exposed at all.
 """
 
 from __future__ import annotations
@@ -43,25 +46,34 @@ def _scene_shape(image: np.ndarray) -> tuple[int, int]:
     return image.shape[:2]
 
 
-def _check_scene(image: np.ndarray) -> None:
+def _check_scene(image: np.ndarray) -> bool:
     """Reject a scene whose values cannot become voltages.
 
     ``image`` has passed :func:`_scene_shape`.  Only bool, integer and
     floating dtypes are accepted.  uint8 always scales into [0, 1]; any
-    other scene must already lie in [0, 1].  The cast to float64 that
-    exposure makes is exact or monotone, so testing the scene's own
-    min and max tests the values exposure will scale.
+    other scene must already lie in [0, 1], give or take 1e-9.  The cast
+    to float64 that exposure makes is exact or monotone, so testing the
+    scene's own min and max tests the values exposure will scale.
+
+    Returns:
+        Whether a scene that is not uint8 lies inside [0, 1] exactly,
+        read off the same min and max, so that the exposure's clip
+        leaves its values as they are.  False for uint8.
     """
     if image.dtype.kind not in "biuf":
         raise ValueError(
             f"image dtype must be bool, integer or floating, got {image.dtype}"
         )
-    if image.dtype == np.uint8 or not image.size:
-        return
+    if image.dtype == np.uint8:
+        return False
+    if not image.size:
+        return True
+    low, high = float(image.min()), float(image.max())
     # Written as "not inside" so that NaN, which fails every comparison
     # and propagates through min/max, is rejected too.
-    if not (float(image.min()) >= -1e-9 and float(image.max()) <= 1.0 + 1e-9):
+    if not (low >= -1e-9 and high <= 1.0 + 1e-9):
         raise ValueError("float image values must lie in [0, 1]")
+    return low >= 0.0 and high <= 1.0
 
 
 class CheckedFrames(tuple):
@@ -73,26 +85,39 @@ class CheckedFrames(tuple):
     the range check for such frames (:meth:`PixelArray.from_image_batch`).
     Frames may differ in size; binding still checks the shapes.  A slice
     is a ``CheckedFrames`` too.
-    """
 
-    __slots__ = ()
+    Attributes:
+        unit_float64: whether every frame is an ``(H, W, 3)`` float64
+            array inside [0, 1] (read off the check's own min and max).
+            Such a frame is its own voltage map on a sensor with no fixed
+            pattern at ``vdd`` 1, so binding uses it as is.  A slice
+            keeps the flag of the sequence it was cut from.
+    """
 
     def __new__(cls, frames: "Iterable[np.ndarray]") -> "CheckedFrames":
         frames = tuple(frames)
+        unit_float64 = True
         for frame in frames:
             _scene_shape(frame)
-            _check_scene(frame)
+            inside = _check_scene(frame)
+            unit_float64 &= inside and frame.ndim == 3 and frame.dtype == np.float64
         # Only a sequence that passed freezes: a failed check leaves the
         # caller's frames as they were.
         for frame in frames:
             frame.flags.writeable = False
-        return super().__new__(cls, frames)
+        return cls._of(frames, unit_float64)
+
+    @classmethod
+    def _of(cls, frames: tuple, unit_float64: bool) -> "CheckedFrames":
+        checked = super().__new__(cls, frames)
+        checked.unit_float64 = unit_float64
+        return checked
 
     def __getitem__(self, index):
         item = super().__getitem__(index)
         if isinstance(index, slice):
             # Frames of a checked sequence: no second check.
-            return tuple.__new__(CheckedFrames, item)
+            return CheckedFrames._of(item, self.unit_float64)
         return item
 
 
@@ -111,7 +136,9 @@ def _expose(
     Then scale by ``vdd``, apply the fixed-pattern ``maps`` (gain, then
     offset) and clip to the rails.  Every step is elementwise and runs in
     this order for any window, so a window's voltages equal the
-    whole-frame exposure sliced to it, bit for bit.
+    whole-frame exposure sliced to it, bit for bit.  The first step reads
+    the scene (a cast is fused with the scale by ``vdd``), and a scale by
+    ``vdd`` 1 is skipped, since it changes no value.
     """
     window = scene[rows, cols]
     if window.ndim == 2:
@@ -120,9 +147,12 @@ def _expose(
         out = np.empty((window.shape[0], window.shape[1], 3))
     if scene.dtype == np.uint8:
         np.divide(window, 255.0, out=out)
+        if vdd != 1:
+            out *= vdd
+    elif vdd != 1:
+        np.multiply(window, vdd, out=out, dtype=np.float64)
     else:
         np.copyto(out, window)
-    out *= vdd
     if maps is not None:
         gain, offset = maps
         out *= gain[rows, cols]
@@ -140,7 +170,9 @@ class PixelArray:
     it on demand, as the sensor converts only what the processor asks
     for: the whole frame on the first use of :attr:`voltages` (a pooled
     or full read), or only the requested window when :meth:`region` (a
-    ROI read) runs before that.  Both give the same voltages.
+    ROI read) runs before that.  Both give the same voltages.  A scene
+    whose exposure is an identity (see :meth:`from_image_batch`) is
+    bound as its own voltages instead.
 
     Attributes:
         vdd: full-scale voltage (a pixel seeing full-scale light sits at
@@ -230,6 +262,13 @@ class PixelArray:
         maps depend only on the noise model and the frame shape, so the
         batch shares one memoized pair.
 
+        On a sensor with no fixed pattern (``prnu`` and ``dsnu`` both 0)
+        at ``vdd`` 1, exposing a float64 frame inside [0, 1] changes no
+        value, so the frames of a :class:`CheckedFrames` whose
+        ``unit_float64`` is set are bound as their own (read-only)
+        voltages, and never exposed or copied.  ``out`` then goes
+        unused.
+
         Args:
             images: scene images, all of the same spatial size.
             vdd: full-scale voltage.
@@ -256,21 +295,32 @@ class PixelArray:
                 f"out: expected a ({h}, {w}, 3) float64 buffer, got shape "
                 f"{out.shape} dtype {out.dtype}"
             )
-        if not isinstance(images, CheckedFrames):
+        checked = isinstance(images, CheckedFrames)
+        if not checked:
             for image in images:
                 _check_scene(image)
-        maps = None if noise.is_noiseless() else noise.fixed_pattern_maps((h, w, 3))
+        maps = None
+        if noise.prnu or noise.dsnu:
+            maps = noise.fixed_pattern_maps((h, w, 3))
+        identity = checked and images.unit_float64 and maps is None and vdd == 1
         arrays = []
         for image in images:
             array = cls.__new__(cls)
-            array._bind((h, w), vdd, noise, scene=image, maps=maps, out=out)
+            if identity:
+                array._bind((h, w), vdd, noise, voltages=image)
+            else:
+                array._bind((h, w), vdd, noise, scene=image, maps=maps, out=out)
             arrays.append(array)
         return arrays
 
     @property
     def voltages(self) -> np.ndarray:
         """float64 ``(H, W, 3)`` voltages of the whole frame, exposed on
-        first use."""
+        first use.
+
+        Read-only when the array is bound to a checked frame as its own
+        voltages (see :meth:`from_image_batch`); reads never write them.
+        """
         if self._voltages is None:
             whole = slice(None)
             self._voltages = _expose(
@@ -284,11 +334,6 @@ class PixelArray:
     def resolution(self) -> tuple[int, int]:
         """``(width, height)`` — note the paper's ``n x m`` is width x height."""
         return (self.width, self.height)
-
-    @property
-    def n_sites(self) -> int:
-        """Total analog pixel sites (3 color channels per spatial location)."""
-        return self.height * self.width * 3
 
     # -- raw access -----------------------------------------------------------------
 
@@ -315,3 +360,14 @@ class PixelArray:
         if self._voltages is None:
             return _expose(self._scene, self.vdd, self._maps, rows, cols)
         return self._voltages[rows, cols, :]
+
+    def _region_into(self, x: int, y: int, out: np.ndarray) -> None:
+        """Write the voltages of the in-bounds window at ``(x, y)`` the
+        size of ``out`` into ``out``: exposed into it, or copied from the
+        whole frame once that is exposed."""
+        h, w = out.shape[:2]
+        rows, cols = slice(y, y + h), slice(x, x + w)
+        if self._voltages is None:
+            _expose(self._scene, self.vdd, self._maps, rows, cols, out)
+        else:
+            np.copyto(out, self._voltages[rows, cols, :])

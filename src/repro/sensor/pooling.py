@@ -115,13 +115,6 @@ class AnalogPoolingModel:
             gain_error_sigma=0.0, offset_error_sigma_per_vdd=0.0, compression=0.0
         )
 
-    @classmethod
-    def from_tracking_fit(
-        cls, gain: float, offset: float, vdd: float, **kwargs
-    ) -> "AnalogPoolingModel":
-        """Build from a measured circuit fit (see ``repro.analog.fit_tracking``)."""
-        return cls(gain=gain, offset_per_vdd=offset / vdd, **kwargs)
-
     # -- core op ------------------------------------------------------------------
 
     def pool(
@@ -137,6 +130,8 @@ class AnalogPoolingModel:
         the shared node has been inverted by the readout chain, so an ideal
         circuit returns exactly the block mean.  Mismatch and compression
         remain, because a real readout cannot know each site's deviation.
+        The chain runs in place on the fresh block means, in a fixed op
+        order, and skips scaling by ``vdd`` 1.
 
         Args:
             voltages: ``(H, W, 3)`` analog pixel voltages.
@@ -152,25 +147,37 @@ class AnalogPoolingModel:
             raise ValueError(f"expected (H, W, 3), got {voltages.shape}")
         _check_pool_args(voltages.shape[0], voltages.shape[1], k)
 
-        merged = block_reduce_mean(
+        v = block_reduce_mean(
             analog_grayscale(voltages) if grayscale else voltages, k
         )
 
         # Residual nonlinearity applied to the normalized mean before the
-        # affine map.
-        normalized = np.clip(merged / vdd, 0.0, 1.0)
+        # affine map: v - (compression * v) * (1 - v).
+        if vdd != 1:
+            v /= vdd
+        np.clip(v, 0.0, 1.0, out=v)
         if self.compression:
-            normalized = normalized - self.compression * normalized * (1.0 - normalized)
-        shared = self.gain * normalized * vdd + self.offset_per_vdd * vdd
+            bow = np.multiply(self.compression, v)
+            bow *= np.subtract(1.0, v)
+            v -= bow
+        # The shared node: (gain * v) * vdd + offset_per_vdd * vdd.
+        offset = self.offset_per_vdd * vdd
+        v *= self.gain
+        if vdd != 1:
+            v *= vdd
+        v += offset
 
         # Per-site mismatch (fixed pattern: depends only on seed and shape).
         if self.gain_error_sigma or self.offset_error_sigma_per_vdd:
-            gain_map, offset_map = _mismatch_maps(self, merged.shape, vdd)
-            shared = shared * gain_map + offset_map
+            gain_map, offset_map = _mismatch_maps(self, v.shape, vdd)
+            # A mean of lower precision promotes to float64 here.
+            v = np.multiply(v, gain_map, out=v if v.dtype == gain_map.dtype else None)
+            v += offset_map
 
         # Readout calibration: invert the *nominal* affine map.
-        calibrated = (shared - self.offset_per_vdd * vdd) / self.gain
-        return np.clip(calibrated, 0.0, vdd)
+        v -= offset
+        v /= self.gain
+        return np.clip(v, 0.0, vdd, out=v)
 
 
 def digital_avg_pool(image: np.ndarray, k: int) -> np.ndarray:

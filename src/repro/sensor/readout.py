@@ -95,23 +95,34 @@ class SensorReadout:
 
     # -- internals -------------------------------------------------------------
 
-    def _digitize(self, voltages: np.ndarray) -> tuple[np.ndarray, int]:
-        # ``(frame_seed, counter)`` names every read's stream; seeding costs
-        # more than converting a small crop, so build the generator only if
-        # a term draws (the ``> 0.0`` tests of temporal_noise and convert).
+    def _add_read_noise(self, voltages: np.ndarray) -> None:
+        """Add the next read's temporal and ADC noise to its fresh float64
+        ``voltages`` in place.
+
+        ``(frame_seed, counter)`` names every read's stream: the temporal
+        noise draws from it first, then the ADC's input-referred noise.
+        Seeding costs more than converting a small crop, so the generator
+        is built only if a term draws (the ``> 0.0`` tests of
+        ``temporal_noise`` and ``add_noise``).
+        """
         self._readout_counter += 1
         noise = self.array.noise
-        rng = None
         if max(noise.read_noise, noise.shot_noise_scale, self.adc.noise_lsb) > 0.0:
             rng = np.random.default_rng((self.frame_seed, self._readout_counter))
-            voltages = voltages + noise.temporal_noise(voltages, self.array.vdd, rng)
-        return self.adc.digitize(voltages, rng=rng), int(voltages.size)
+            voltages += noise.temporal_noise(voltages, self.array.vdd, rng)
+            self.adc.add_noise(voltages, rng)
+
+    def _digitize(self, voltages: np.ndarray) -> tuple[np.ndarray, int]:
+        """One read of fresh float64 ``voltages``, converted in place."""
+        self._add_read_noise(voltages)
+        self.adc.quantize(voltages)
+        return voltages, int(voltages.size)
 
     # -- readout paths ------------------------------------------------------------
 
     def read_full(self) -> ReadoutResult:
         """Conventional baseline: convert and ship the entire RGB frame."""
-        image, n = self._digitize(self.array.voltages)
+        image, n = self._digitize(np.array(self.array.voltages, dtype=np.float64))
         return ReadoutResult(
             images=image,
             conversions=n,
@@ -132,7 +143,7 @@ class SensorReadout:
         pooled_v = self.pooling.pool(
             self.array.voltages, k, self.array.vdd, grayscale=grayscale
         )
-        image, n = self._digitize(pooled_v)
+        image, n = self._digitize(np.asarray(pooled_v, dtype=np.float64))
         return ReadoutResult(
             images=image,
             conversions=n,
@@ -146,13 +157,19 @@ class SensorReadout:
         (:func:`repro.core.prepare_rois`); the sensor reads each box in
         order, clipped to the array (a box entirely off it reads nothing).
 
+        All windows land in one float64 buffer: each is exposed into its
+        slot (or copied there once the whole frame is exposed), and gets
+        its temporal and ADC noise from its own read's generator, in box
+        order.  One ADC pass then converts the whole buffer.  Each crop
+        is bit-identical to reading its window alone.
+
         Args:
             rois: ROI-like objects or ``(x, y, w, h)`` tuples, in *pixel
                 array* coordinates.
 
         Returns:
             :class:`ReadoutResult` whose ``images`` is a list of RGB crops
-            aligned with ``result.boxes``.
+            aligned with ``result.boxes``: views of that one buffer.
         """
         clipped: list[tuple[int, int, int, int]] = []
         for roi in rois:
@@ -160,13 +177,17 @@ class SensorReadout:
             if box is not None:
                 clipped.append(box)
 
+        conversions = sum(w * h * 3 for _, _, w, h in clipped)
+        buffer = np.empty(conversions)
         crops: list[np.ndarray] = []
-        conversions = 0
+        start = 0
         for x, y, w, h in clipped:
-            crop_v = self.array.region(x, y, w, h)
-            crop, n = self._digitize(crop_v)
+            crop = buffer[start : start + w * h * 3].reshape(h, w, 3)
+            start += crop.size
+            self.array._region_into(x, y, crop)
+            self._add_read_noise(crop)
             crops.append(crop)
-            conversions += n
+        self.adc.quantize(buffer)
         return ReadoutResult(
             images=crops,
             conversions=conversions,
@@ -212,7 +233,10 @@ class BatchSensorReadout:
             frames: scene images, all of one resolution.  A
                 :class:`~repro.sensor.CheckedFrames` (a clip's frames, or
                 a slice of them) skips the range check it passed when it
-                was built; its shapes are still checked.
+                was built; its shapes are still checked.  Its frames are
+                bound as their own voltages when their exposure is an
+                identity (no fixed pattern, ``vdd`` 1, float64 frames
+                inside [0, 1]; see :meth:`PixelArray.from_image_batch`).
             adc_bits: converter precision (shared).
             noise: sensor noise model (shared silicon).
             pooling: behavioral pooling model (shared circuitry).

@@ -89,8 +89,15 @@ def _scene_sweep(
     Unlike the animated clips, consecutive frames are unrelated scenes —
     the workload of the paper's single-frame experiments, made streamable
     (and the adversarial case for temporal reuse: nothing is ever stable).
+    ``label`` keeps only the boxes of one of the profile's
+    ``eval_classes``; omitted, every box is kept.
     """
     label = params.pop("label", None)
+    if label is not None and label not in profile.eval_classes:
+        raise ValueError(
+            f"label must be one of {list(profile.eval_classes)} or omitted, "
+            f"got {label!r}"
+        )
     generator = SceneGenerator(
         profile, resolution=_resolution(params, (640, 480)), seed=seed
     )
@@ -103,7 +110,7 @@ def _scene_sweep(
     for i in range(n_frames):
         scene = generator.scene(i)
         frames.append(scene.image)
-        boxes = scene.boxes_for(label) if label else scene.boxes
+        boxes = scene.boxes if label is None else scene.boxes_for(label)
         ground_truth.append([(b.x, b.y, b.w, b.h) for b in boxes])
     return SyntheticClip(frames, ground_truth, generator.resolution)
 

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.sensor import (
-    LUMA_WEIGHTS,
-    NoiseModel,
-    analog_grayscale,
-    digital_grayscale,
-)
+from repro.sensor import LUMA_WEIGHTS, NoiseModel, analog_grayscale
 from repro.sensor.noise import _fixed_pattern_maps
+
+
+def digital_grayscale(image: np.ndarray) -> np.ndarray:
+    """BT.601 luma, what an in-processor pipeline computes: the oracle the
+    analog merge is compared with."""
+    return image @ LUMA_WEIGHTS
 
 
 class TestGrayscale:

@@ -108,9 +108,6 @@ class TestGeometry:
     def test_resolution_is_width_height(self, noiseless_array):
         assert noiseless_array.resolution == (48, 32)
 
-    def test_n_sites_counts_channels(self, noiseless_array):
-        assert noiseless_array.n_sites == 32 * 48 * 3
-
     def test_region_extraction(self, noiseless_array):
         region = noiseless_array.region(10, 5, 8, 4)
         assert region.shape == (4, 8, 3)

@@ -82,11 +82,6 @@ class TestAnalogPoolingModel:
         assert out.max() <= 1.0
         assert out.min() >= 0.0
 
-    def test_from_tracking_fit_roundtrip(self):
-        model = AnalogPoolingModel.from_tracking_fit(gain=0.49, offset=-0.51, vdd=1.0)
-        assert model.gain == pytest.approx(0.49)
-        assert model.offset_per_vdd == pytest.approx(-0.51)
-
     def test_compression_bows_midscale(self):
         """The SF nonlinearity pulls mid-scale down, leaves rails alone."""
         model = AnalogPoolingModel(

@@ -19,9 +19,9 @@ def readout(noiseless_array):
 
 
 class TestFullRead:
-    def test_conversion_count(self, readout, noiseless_array):
+    def test_conversion_count(self, readout):
         result = readout.read_full()
-        assert result.conversions == noiseless_array.n_sites
+        assert result.conversions == 32 * 48 * 3
 
     def test_image_matches_scene(self, readout, gradient_image):
         result = readout.read_full()

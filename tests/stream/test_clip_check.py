@@ -38,7 +38,7 @@ def checked(monkeypatch):
 
     def spy(image):
         seen.append(image)
-        check(image)
+        return check(image)
 
     monkeypatch.setattr(pixel_array, "_check_scene", spy)
     return seen

@@ -1,6 +1,7 @@
 """The animated sources: parameter checks and the frame-batched render."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,43 @@ class TestSourceParameters:
         )
         with pytest.raises(SpecError, match=f"scenario.source '{name}': {count} must be >= 0"):
             engine.run(request)
+
+
+class TestSceneSweepLabel:
+    """A scene sweep's ``label`` names one of its profile's eval classes."""
+
+    LABEL_MESSAGE = r"label must be one of \['person', 'head'\] or omitted, got "
+
+    @pytest.mark.parametrize("label", [5, "", "nonexistent", "cyclist"])
+    def test_rejects_a_label_outside_the_eval_classes(self, label):
+        make = SOURCE_REGISTRY.get("crowdhuman-scenes")
+        with pytest.raises(ValueError, match=self.LABEL_MESSAGE + re.escape(repr(label))):
+            make(2, 7, resolution=(96, 64), label=label)
+
+    @pytest.mark.parametrize("label", [5, ""])
+    def test_engine_reports_a_bad_label(self, label):
+        engine = Engine(SystemSpec(detector=ComponentRef("ground-truth")))
+        request = ScenarioSpec(
+            source=ComponentRef(
+                "crowdhuman-scenes", {"resolution": [96, 64], "label": label}
+            ),
+            n_frames=2,
+            seed=7,
+        )
+        message = "scenario.source 'crowdhuman-scenes': " + self.LABEL_MESSAGE
+        with pytest.raises(SpecError, match=message):
+            engine.run(request)
+
+    def test_a_label_keeps_only_its_boxes(self):
+        make = SOURCE_REGISTRY.get("crowdhuman-scenes")
+        every = make(2, 7, resolution=(96, 64))
+        people = make(2, 7, resolution=(96, 64), label="person")
+        heads = make(2, 7, resolution=(96, 64), label="head")
+        for all_boxes, person, head in zip(
+            every.ground_truth, people.ground_truth, heads.ground_truth
+        ):
+            assert person and head
+            assert sorted(person + head) == sorted(all_boxes)
 
 
 class TestFrameBatchedRender:
