@@ -3,10 +3,9 @@
 Public surface:
 
 * :class:`Circuit` plus components (:class:`Resistor`, :class:`Capacitor`,
-  :class:`VoltageSource`, :class:`CurrentSource`, :class:`MOSFET`).
+  :class:`VoltageSource`, :class:`MOSFET`).
 * :class:`MNASolver` with DC operating point and backward-Euler transient.
-* Waveforms (:class:`DC`, :class:`PWL`, :class:`Pulse`, :class:`Sine`,
-  :class:`Triangle`).
+* Waveforms (:class:`DC`, :class:`PWL`, :class:`Pulse`).
 * HiRISE pooling-circuit builders and the Fig. 5 test benches.
 """
 
@@ -15,13 +14,12 @@ from .components import (
     GROUND,
     Capacitor,
     Component,
-    CurrentSource,
     MOSFET,
     MOSFETParams,
     Resistor,
     VoltageSource,
 )
-from .mna import ConvergenceError, MNASolver, TransientResult, dc_operating_point, transient
+from .mna import ConvergenceError, MNASolver, TransientResult
 from .netlist import Circuit, NetlistError
 from .pooling_circuit import (
     AVG_NODE,
@@ -41,7 +39,7 @@ from .testbench import (
     many_input_bench,
     two_input_bench,
 )
-from .waveforms import DC, PWL, Pulse, Sine, Triangle, as_waveform
+from .waveforms import DC, PWL, Pulse, as_waveform
 
 __all__ = [
     "AVG_NODE",
@@ -50,7 +48,6 @@ __all__ = [
     "Circuit",
     "Component",
     "ConvergenceError",
-    "CurrentSource",
     "DC",
     "GMIN",
     "GROUND",
@@ -62,15 +59,12 @@ __all__ = [
     "PWL",
     "Pulse",
     "Resistor",
-    "Sine",
     "TrackingFit",
     "TransientResult",
-    "Triangle",
     "VoltageSource",
     "as_waveform",
     "build_pooling_circuit",
     "build_resistive_average",
-    "dc_operating_point",
     "dc_sweep_bench",
     "fit_tracking",
     "four_input_bench",
@@ -78,6 +72,5 @@ __all__ = [
     "invert_shared_node_voltage",
     "many_input_bench",
     "pixels_per_pool",
-    "transient",
     "two_input_bench",
 ]

@@ -2,7 +2,7 @@
 
 The component set is the minimum needed to simulate the HiRISE in-sensor
 compression circuit (paper Fig. 4) and its test benches (Fig. 5): resistors,
-capacitors, independent voltage/current sources, and level-1 (square-law)
+capacitors, independent voltage sources, and level-1 (square-law)
 MOSFETs used as source followers and row selectors.
 
 Each component knows how to *stamp* itself into the MNA matrix ``A`` and
@@ -178,23 +178,6 @@ class VoltageSource(Component):
         ctx.add_A(k, ip, 1.0)
         ctx.add_A(k, im, -1.0)
         ctx.add_z(k, float(self.waveform(ctx.t)))
-
-
-@dataclass
-class CurrentSource(Component):
-    """Independent current source pushing current from ``plus`` to ``minus``."""
-
-    name: str
-    plus: str
-    minus: str
-    value: object = 0.0
-
-    def __post_init__(self) -> None:
-        self.nodes = (self.plus, self.minus)
-        self.waveform = as_waveform(self.value)
-
-    def stamp(self, ctx: StampContext) -> None:
-        ctx.stamp_current(self.plus, self.minus, float(self.waveform(ctx.t)))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ sparse methods pay off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class TransientResult:
         if node == "0":
             return np.zeros_like(self.time)
         return self.voltages[node]
-
-    def final(self, node: str) -> float:
-        return float(self.voltage(node)[-1])
 
     def sample(self, node: str, t: float) -> float:
         """Linear interpolation of a node waveform at time ``t``."""
@@ -206,13 +203,3 @@ class MNASolver:
             if idx is not None
         }
         return TransientResult(time=times, voltages=voltages)
-
-
-def dc_operating_point(circuit: Circuit, t: float = 0.0) -> dict[str, float]:
-    """Convenience wrapper: one-shot DC solve of ``circuit``."""
-    return MNASolver(circuit).dc(t)
-
-
-def transient(circuit: Circuit, t_stop: float, dt: float) -> TransientResult:
-    """Convenience wrapper: one-shot transient run of ``circuit``."""
-    return MNASolver(circuit).transient(t_stop, dt)

@@ -1,16 +1,14 @@
 """Time-domain stimulus waveforms for the analog simulator.
 
-These mirror the standard SPICE source functions (``DC``, ``PWL``, ``PULSE``,
-``SIN``) that the paper's HSPICE test benches use to drive the in-sensor
-compression circuit (Fig. 5).  A waveform is simply a callable mapping time
-in seconds to a voltage (or current) value; the classes below are small,
-picklable, and deterministic.
+These mirror the standard SPICE source functions (``DC``, ``PWL``, ``PULSE``)
+that the paper's HSPICE test benches use to drive the in-sensor compression
+circuit (Fig. 5).  A waveform is simply a callable mapping time in seconds
+to a voltage; the classes below are small, picklable, and deterministic.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -88,42 +86,7 @@ class Pulse:
         return self.v1
 
 
-@dataclass(frozen=True)
-class Sine:
-    """Sinusoidal source ``offset + amplitude * sin(2*pi*freq*t + phase)``."""
-
-    offset: float
-    amplitude: float
-    freq: float
-    phase: float = 0.0
-
-    def __call__(self, t: float) -> float:
-        return self.offset + self.amplitude * math.sin(2.0 * math.pi * self.freq * t + self.phase)
-
-
-@dataclass(frozen=True)
-class Triangle:
-    """Symmetric triangle wave between ``low`` and ``high``.
-
-    Used for the Fig. 5(a) bench where the two analog inputs ramp with
-    opposing slopes.  ``phase`` is expressed as a fraction of the period.
-    """
-
-    low: float
-    high: float
-    period: float
-    phase: float = 0.0
-
-    def __call__(self, t: float) -> float:
-        tau = (t / self.period + self.phase) % 1.0
-        if tau < 0.5:
-            frac = tau * 2.0
-        else:
-            frac = 2.0 - tau * 2.0
-        return self.low + (self.high - self.low) * frac
-
-
-def as_waveform(value) -> "DC | PWL | Pulse | Sine | Triangle":
+def as_waveform(value) -> "DC | PWL | Pulse":
     """Coerce a plain number into a :class:`DC` waveform.
 
     Callables are returned unchanged so users may pass any ``f(t)``.

@@ -1,7 +1,7 @@
 """Benchmark-harness helpers: tables, ASCII figures, experiment registry."""
 
 from .figures import ascii_bar_chart, ascii_line_chart, series_csv
-from .registry import EXPERIMENTS, Experiment, get_experiment
+from .registry import EXPERIMENTS, Experiment
 from .tables import Table
 
 __all__ = [
@@ -10,6 +10,5 @@ __all__ = [
     "Table",
     "ascii_bar_chart",
     "ascii_line_chart",
-    "get_experiment",
     "series_csv",
 ]

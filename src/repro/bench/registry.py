@@ -131,12 +131,3 @@ EXPERIMENTS: dict[str, Experiment] = {
         ),
     )
 }
-
-
-def get_experiment(exp_id: str) -> Experiment:
-    """Look up an experiment; raises ``KeyError`` with the known ids."""
-    if exp_id not in EXPERIMENTS:
-        raise KeyError(
-            f"unknown experiment {exp_id!r}; known: {sorted(EXPERIMENTS)}"
-        )
-    return EXPERIMENTS[exp_id]

@@ -74,9 +74,3 @@ class Table:
         ) + " |"
         rows = ["| " + " | ".join(row) + " |" for row in self.rows]
         return "\n".join([header, rule, *rows])
-
-    def to_csv(self) -> str:
-        """Comma-separated dump (header + rows)."""
-        out = [",".join(self.columns)]
-        out += [",".join(row) for row in self.rows]
-        return "\n".join(out)

@@ -6,7 +6,7 @@ is deterministic given its seed.  See DESIGN.md §5 for why the substitution
 preserves the paper's comparisons.
 """
 
-from .crowdhuman import crowdhuman_like, median_body_area_fraction, median_head_count
+from .crowdhuman import crowdhuman_like
 from .dhdcampus import dhdcampus_like
 from .profiles import (
     CROWDHUMAN_LIKE,
@@ -30,8 +30,6 @@ __all__ = [
     "VISDRONE_LIKE",
     "crowdhuman_like",
     "dhdcampus_like",
-    "median_body_area_fraction",
-    "median_head_count",
     "rafdb_like",
     "render_face",
     "visdrone_like",

@@ -7,8 +7,6 @@ profile matches and DESIGN.md for the substitution rationale.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .profiles import CROWDHUMAN_LIKE
 from .scene import Scene, SceneGenerator
 
@@ -30,18 +28,3 @@ def crowdhuman_like(
         ``head`` ground-truth boxes.
     """
     return SceneGenerator(CROWDHUMAN_LIKE, resolution, seed).generate(n_images)
-
-
-def median_head_count(scenes: list[Scene]) -> float:
-    """Median number of head boxes per frame (paper's Table 3 statistic)."""
-    counts = [len(s.boxes_for("head")) for s in scenes]
-    return float(np.median(counts)) if counts else 0.0
-
-
-def median_body_area_fraction(scenes: list[Scene]) -> float:
-    """Median of (sum of person-box areas / frame area) — Fig. 7's load."""
-    fractions = []
-    for s in scenes:
-        w, h = s.resolution
-        fractions.append(s.total_box_area(("person",)) / float(w * h))
-    return float(np.median(fractions)) if fractions else 0.0

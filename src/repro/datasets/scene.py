@@ -68,11 +68,6 @@ class Scene:
     def boxes_for(self, label: str) -> list[GroundTruthBox]:
         return [b for b in self.boxes if b.label == label]
 
-    def total_box_area(self, labels: tuple[str, ...] | None = None) -> float:
-        """Sum of box areas (pixel^2), optionally restricted to ``labels``."""
-        boxes = self.boxes if labels is None else [b for b in self.boxes if b.label in labels]
-        return float(sum(b.area for b in boxes))
-
 
 def _background(
     profile: DatasetProfile, shape: tuple[int, int], rng: np.random.Generator

@@ -7,9 +7,8 @@ fine-grained, high-frequency texture that aliases away at low resolution.
 This module provides deterministic, seedable texture fields:
 
 * :func:`value_noise` — multi-octave bilinear value noise (Perlin-flavored);
-* :func:`stripes` / :func:`checker` — periodic patterns with controllable
-  pitch (fine pitches vanish under pooling);
-* :func:`speckle` — per-pixel white noise for sensor-plausible micro-detail.
+* :func:`stripes` — periodic pattern with controllable pitch (fine pitches
+  vanish under pooling).
 
 All functions return float64 arrays in [0, 1].
 """
@@ -120,22 +119,6 @@ def stripes(
     edge0, edge1 = duty - soft, duty + soft
     out = np.clip((edge1 - phase) / max(edge1 - edge0, 1e-9), 0.0, 1.0)
     return out
-
-
-def checker(shape: tuple[int, int], cell: int) -> np.ndarray:
-    """Binary checkerboard with ``cell``-pixel squares."""
-    if cell < 1:
-        raise ValueError("cell must be >= 1")
-    h, w = shape
-    yy, xx = np.mgrid[0:h, 0:w]
-    return (((yy // cell) + (xx // cell)) % 2).astype(np.float64)
-
-
-def speckle(
-    shape: tuple[int, int], rng: np.random.Generator, strength: float = 1.0
-) -> np.ndarray:
-    """Per-pixel uniform noise scaled to ``strength``, centered at 0.5."""
-    return 0.5 + strength * (rng.random(shape) - 0.5)
 
 
 def colorize(field: np.ndarray, low: tuple, high: tuple) -> np.ndarray:

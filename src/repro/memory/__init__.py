@@ -11,7 +11,6 @@ from .ops import (
     DepthwiseConv,
     GlobalPool,
     OpSpec,
-    Pool,
     TensorShape,
 )
 from .zoo import (
@@ -42,7 +41,6 @@ __all__ = [
     "NRF52840",
     "Node",
     "OpSpec",
-    "Pool",
     "STM32F411",
     "STM32F746",
     "STM32H743",

@@ -51,10 +51,6 @@ class MemoryReport:
     per_node_bytes: list[tuple[str, int]] = field(default_factory=list)
     dtype_bytes: int = 1
 
-    @property
-    def flash_kb(self) -> float:
-        return self.flash_bytes / 1024.0
-
 
 def _lifetimes(graph: ModelGraph) -> tuple[dict[str, int], dict[str, int]]:
     """Tensor -> (production step, last consumption step)."""

@@ -8,7 +8,7 @@ construction, so analysis is O(nodes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ops import OpSpec, TensorShape
 
@@ -105,13 +105,6 @@ class ModelGraph:
         """Total trainable parameters across the graph."""
         return sum(
             node.op.weight_params([self._shapes[t] for t in node.inputs])
-            for node in self.nodes
-        )
-
-    def total_macs(self) -> int:
-        """Total multiply-accumulates for one inference."""
-        return sum(
-            node.op.macs([self._shapes[t] for t in node.inputs])
             for node in self.nodes
         )
 

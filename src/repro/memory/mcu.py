@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analyzer import MemoryReport
-
 
 @dataclass(frozen=True)
 class MCUProfile:
@@ -25,35 +23,6 @@ class MCUProfile:
     def sram_kb(self) -> float:
         return self.sram_bytes / 1024.0
 
-    @property
-    def flash_kb(self) -> float:
-        return self.flash_bytes / 1024.0
-
-    def fits(
-        self,
-        reports: list[MemoryReport],
-        extra_sram_bytes: int = 0,
-    ) -> bool:
-        """Can these models co-reside (time-multiplexed) on the device?
-
-        SRAM is checked against the worst single model's peak plus any
-        persistent buffer (e.g. an image held across stages); flash must
-        hold all models simultaneously.
-
-        Args:
-            reports: per-model memory reports.
-            extra_sram_bytes: persistent SRAM (image/frame buffers).
-        """
-        if not reports:
-            return extra_sram_bytes <= self.sram_bytes
-        peak = max(r.peak_sram_bytes for r in reports) + extra_sram_bytes
-        flash = sum(r.flash_bytes for r in reports)
-        return peak <= self.sram_bytes and flash <= self.flash_bytes
-
-    def sram_headroom(self, reports: list[MemoryReport]) -> int:
-        """Free SRAM bytes with all models resident (can be negative)."""
-        peak = max((r.peak_sram_bytes for r in reports), default=0)
-        return self.sram_bytes - peak
 
 
 #: The paper's case-study device (Arm Cortex-M7, Sec. 4.2).

@@ -1,4 +1,4 @@
-"""Operator specifications with shape/parameter/MAC inference.
+"""Operator specifications with shape and parameter inference.
 
 These are *static descriptions* used for memory analysis (peak activation
 SRAM and weight flash), standing in for the TFLite-Micro graphs the paper
@@ -42,15 +42,12 @@ def _conv_out(size: int, kernel: int, stride: int, same: bool) -> int:
 
 
 class OpSpec:
-    """Base operator: shape inference + parameter and MAC counts."""
+    """Base operator: shape inference + parameter counts."""
 
     def output_shape(self, inputs: list[TensorShape]) -> TensorShape:  # pragma: no cover
         raise NotImplementedError
 
     def weight_params(self, inputs: list[TensorShape]) -> int:
-        return 0
-
-    def macs(self, inputs: list[TensorShape]) -> int:
         return 0
 
     def _one(self, inputs: list[TensorShape]) -> TensorShape:
@@ -89,10 +86,6 @@ class Conv(OpSpec):
         x = self._one(inputs)
         return self.kernel * self.kernel * x.c * self.out_c + (self.out_c if self.bias else 0)
 
-    def macs(self, inputs: list[TensorShape]) -> int:
-        out = self.output_shape(inputs)
-        return out.elems * self.kernel * self.kernel * inputs[0].c
-
 
 @dataclass(frozen=True)
 class DepthwiseConv(OpSpec):
@@ -114,28 +107,6 @@ class DepthwiseConv(OpSpec):
     def weight_params(self, inputs: list[TensorShape]) -> int:
         x = self._one(inputs)
         return self.kernel * self.kernel * x.c + (x.c if self.bias else 0)
-
-    def macs(self, inputs: list[TensorShape]) -> int:
-        out = self.output_shape(inputs)
-        return out.elems * self.kernel * self.kernel
-
-
-@dataclass(frozen=True)
-class Pool(OpSpec):
-    """Average or max pooling with its own window/stride."""
-
-    kernel: int = 2
-    stride: int | None = None
-    kind: str = "max"
-
-    def output_shape(self, inputs: list[TensorShape]) -> TensorShape:
-        x = self._one(inputs)
-        stride = self.stride or self.kernel
-        return TensorShape(
-            _conv_out(x.h, self.kernel, stride, same=False),
-            _conv_out(x.w, self.kernel, stride, same=False),
-            x.c,
-        )
 
 
 @dataclass(frozen=True)
@@ -160,9 +131,6 @@ class Dense(OpSpec):
     def weight_params(self, inputs: list[TensorShape]) -> int:
         x = self._one(inputs)
         return x.elems * self.out_features + (self.out_features if self.bias else 0)
-
-    def macs(self, inputs: list[TensorShape]) -> int:
-        return self._one(inputs).elems * self.out_features
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,6 @@
 """NumPy ML substrate: layers/training, detectors, classifiers, evaluation."""
 
-from .classifier.cnn import (
-    mcunetv2_like_classifier,
-    mobilenetv2_like_classifier,
-    tiny_cnn,
-)
+from .classifier.cnn import tiny_cnn
 from .classifier.crop import CropClassifier, CropPrediction
 from .classifier.features import (
     CLASSIFIER_PRESETS,
@@ -18,14 +14,12 @@ from .eval import (
     Detection,
     MAPResult,
     average_precision,
-    classification_accuracy,
     evaluate_detections,
     iou_matrix,
     nms,
 )
-from .image import crop_padded, ensure_channels, resize_bilinear, to_gray
+from .image import ensure_channels, resize_bilinear, to_gray
 from .model import Sequential
-from .train import TrainHistory, fit_classifier, predict_classifier
 
 __all__ = [
     "CLASSIFIER_PRESETS",
@@ -40,19 +34,12 @@ __all__ = [
     "MAPResult",
     "Sequential",
     "SoftmaxRegression",
-    "TrainHistory",
     "average_precision",
-    "classification_accuracy",
-    "crop_padded",
     "ensure_channels",
     "evaluate_detections",
-    "fit_classifier",
     "hog_features",
     "iou_matrix",
-    "mcunetv2_like_classifier",
-    "mobilenetv2_like_classifier",
     "nms",
-    "predict_classifier",
     "resize_bilinear",
     "tiny_cnn",
     "to_gray",

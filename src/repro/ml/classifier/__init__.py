@@ -1,6 +1,6 @@
 """Stage-2 classifiers: HOG + linear (fast), tiny CNNs, batched crop heads."""
 
-from .cnn import mcunetv2_like_classifier, mobilenetv2_like_classifier, tiny_cnn
+from .cnn import tiny_cnn
 from .crop import CropClassifier, CropPrediction
 from .features import CLASSIFIER_PRESETS, HOGClassifier, SoftmaxRegression, hog_features
 
@@ -11,7 +11,5 @@ __all__ = [
     "HOGClassifier",
     "SoftmaxRegression",
     "hog_features",
-    "mcunetv2_like_classifier",
-    "mobilenetv2_like_classifier",
     "tiny_cnn",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..layers import BatchNorm, Conv2D, Dense, Flatten, GlobalAvgPool, MaxPool2D, ReLU
+from ..layers import BatchNorm, Conv2D, Dense, GlobalAvgPool, MaxPool2D, ReLU
 from ..model import Sequential
 
 
@@ -69,13 +69,3 @@ def tiny_cnn(
     layers.append(GlobalAvgPool())
     layers.append(Dense(channels, n_classes, rng=rng))
     return Sequential(layers)
-
-
-def mcunetv2_like_classifier(input_size: int, n_classes: int, seed: int = 0) -> Sequential:
-    """Budget-tier trainable classifier (width 8)."""
-    return tiny_cnn(input_size, n_classes, width=8, seed=seed)
-
-
-def mobilenetv2_like_classifier(input_size: int, n_classes: int, seed: int = 0) -> Sequential:
-    """Larger-tier trainable classifier (width 16)."""
-    return tiny_cnn(input_size, n_classes, width=16, seed=seed)

@@ -146,14 +146,6 @@ class SoftmaxRegression:
             raise RuntimeError("model not fitted")
         return np.argmax(features @ self._w + self._b, axis=1)
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        if self._w is None or self._b is None:
-            raise RuntimeError("model not fitted")
-        logits = features @ self._w + self._b
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        return probs / probs.sum(axis=1, keepdims=True)
-
 
 #: Capacity presets standing in for the paper's two stage-2 models.
 CLASSIFIER_PRESETS = {

@@ -215,10 +215,6 @@ class CorrelationDetector:
             )
         return self
 
-    @property
-    def fitted_classes(self) -> tuple[str, ...]:
-        return tuple(self._templates)
-
     # -- inference -------------------------------------------------------------------
 
     def detect(self, image: np.ndarray) -> list[Detection]:

@@ -1,12 +1,11 @@
 """Evaluation utilities: box geometry, NMS, AP/mAP, accuracy."""
 
-from .boxes import box_iou, iou_matrix, nms, xywh_to_xyxy, xyxy_to_xywh
+from .boxes import iou_matrix, nms
 from .metrics import (
     Detection,
     MAPResult,
     average_precision,
     class_average_precision,
-    classification_accuracy,
     evaluate_detections,
 )
 
@@ -14,12 +13,8 @@ __all__ = [
     "Detection",
     "MAPResult",
     "average_precision",
-    "box_iou",
     "class_average_precision",
-    "classification_accuracy",
     "evaluate_detections",
     "iou_matrix",
     "nms",
-    "xywh_to_xyxy",
-    "xyxy_to_xywh",
 ]

@@ -10,29 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def xywh_to_xyxy(boxes: np.ndarray) -> np.ndarray:
-    """Convert ``(N, 4)`` xywh boxes to corner format."""
-    boxes = np.asarray(boxes, dtype=np.float64)
-    out = boxes.copy()
-    out[..., 2] = boxes[..., 0] + boxes[..., 2]
-    out[..., 3] = boxes[..., 1] + boxes[..., 3]
-    return out
-
-
-def xyxy_to_xywh(boxes: np.ndarray) -> np.ndarray:
-    """Convert ``(N, 4)`` corner boxes to xywh format."""
-    boxes = np.asarray(boxes, dtype=np.float64)
-    out = boxes.copy()
-    out[..., 2] = boxes[..., 2] - boxes[..., 0]
-    out[..., 3] = boxes[..., 3] - boxes[..., 1]
-    return out
-
-
-def box_iou(a: tuple | np.ndarray, b: tuple | np.ndarray) -> float:
-    """IoU of two single xywh boxes."""
-    return float(iou_matrix(np.asarray(a)[None, :], np.asarray(b)[None, :])[0, 0])
-
-
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two xywh box sets.
 

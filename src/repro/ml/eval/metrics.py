@@ -9,7 +9,7 @@ resulting PR curve ("all-points" interpolation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -185,14 +185,3 @@ def evaluate_detections(
         iou_threshold=iou_threshold,
         n_images=len(predictions),
     )
-
-
-def classification_accuracy(predicted: np.ndarray, labels: np.ndarray) -> float:
-    """Plain top-1 accuracy for the stage-2 classifiers."""
-    predicted = np.asarray(predicted).reshape(-1)
-    labels = np.asarray(labels).reshape(-1)
-    if predicted.shape != labels.shape:
-        raise ValueError("predicted and labels must have the same length")
-    if predicted.size == 0:
-        return 0.0
-    return float(np.mean(predicted == labels))

@@ -137,21 +137,3 @@ def downscale_antialiased(image: np.ndarray, factor: float) -> np.ndarray:
     out_h = max(int(round(image.shape[0] * factor)), 1)
     out_w = max(int(round(image.shape[1] * factor)), 1)
     return resize_bilinear(img, (out_h, out_w))
-
-
-def crop_padded(image: np.ndarray, x: int, y: int, w: int, h: int) -> np.ndarray:
-    """Crop a region, zero-padding the parts that fall outside the image.
-
-    Unlike the sensor's :meth:`~repro.sensor.pixel_array.PixelArray.region`
-    (which refuses out-of-bounds reads, as hardware would), a digital crop
-    can pad freely; useful when expanding ROIs near frame edges.
-    """
-    if w <= 0 or h <= 0:
-        raise ValueError("crop size must be positive")
-    img = ensure_channels(np.asarray(image))
-    out = np.zeros((h, w, img.shape[2]), dtype=img.dtype)
-    x0, y0 = max(x, 0), max(y, 0)
-    x1, y1 = min(x + w, img.shape[1]), min(y + h, img.shape[0])
-    if x1 > x0 and y1 > y0:
-        out[y0 - y : y1 - y, x0 - x : x1 - x] = img[y0:y1, x0:x1]
-    return out[:, :, 0] if image.ndim == 2 else out

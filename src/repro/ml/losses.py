@@ -12,36 +12,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of integer ``labels`` against ``(N, C)`` logits.
-
-    Returns:
-        ``(loss, grad)`` where grad has the shape of ``logits`` and already
-        includes the 1/N normalization.
-    """
-    n = logits.shape[0]
-    probs = softmax(logits)
-    labels = np.asarray(labels).reshape(-1)
-    if labels.shape[0] != n:
-        raise ValueError("labels must align with the logits batch")
-    eps = 1e-12
-    loss = -float(np.mean(np.log(probs[np.arange(n), labels] + eps)))
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
-
-
-def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error and its gradient w.r.t. ``pred``."""
-    if pred.shape != target.shape:
-        raise ValueError("pred and target shapes must match")
-    diff = pred - target
-    loss = float(np.mean(diff**2))
-    return loss, 2.0 * diff / diff.size
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, numerically stable."""
     out = np.empty_like(x, dtype=np.float64)

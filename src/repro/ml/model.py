@@ -99,6 +99,3 @@ class Sequential(Layer):
                     f"shape mismatch for {key}: {state[key].shape} vs {value.shape}"
                 )
             value[...] = state[key]
-
-    def n_parameters(self) -> int:
-        return int(sum(p.value.size for p in self.params()))

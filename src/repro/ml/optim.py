@@ -21,34 +21,6 @@ class Optimizer:
             p.zero_grad()
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: list[Param],
-        lr: float = 0.01,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.value) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.value
-            v *= self.momentum
-            v -= self.lr * grad
-            p.value += v
-
-
 class Adam(Optimizer):
     """Adam with bias correction."""
 

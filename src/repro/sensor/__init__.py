@@ -22,7 +22,6 @@ from .readout import (
     as_box,
     clip_box,
 )
-from .timing import ReadoutTimingModel
 
 __all__ = [
     "ADCModel",
@@ -33,7 +32,6 @@ __all__ = [
     "NoiseModel",
     "PixelArray",
     "ReadoutResult",
-    "ReadoutTimingModel",
     "SensorReadout",
     "analog_grayscale",
     "as_box",

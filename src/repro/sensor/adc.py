@@ -127,16 +127,6 @@ class ADCModel:
         """Map codes back to normalized [0, 1] values."""
         return np.asarray(codes, dtype=np.float64) / (self.levels - 1)
 
-    def digitize(
-        self, voltages: np.ndarray, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Convert and normalize in one step (the usual readout path):
-        ``to_float(convert(voltages, rng))``, on one fresh copy."""
-        v = np.array(voltages, dtype=np.float64)
-        self.add_noise(v, rng)
-        self.quantize(v)
-        return v
-
     # -- accounting -------------------------------------------------------------
 
     def bytes_per_sample(self) -> int:

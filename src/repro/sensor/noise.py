@@ -82,14 +82,6 @@ class NoiseModel:
         """An ideal sensor: every noise term disabled."""
         return cls(read_noise=0.0, shot_noise_scale=0.0, dsnu=0.0, prnu=0.0)
 
-    def is_noiseless(self) -> bool:
-        return (
-            self.read_noise == 0.0
-            and self.shot_noise_scale == 0.0
-            and self.dsnu == 0.0
-            and self.prnu == 0.0
-        )
-
     # -- fixed-pattern maps ---------------------------------------------------
 
     def fixed_pattern_maps(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:

@@ -108,13 +108,6 @@ class AnalogPoolingModel:
     compression: float = 0.01
     seed: int = 77
 
-    @classmethod
-    def ideal(cls) -> "AnalogPoolingModel":
-        """Mismatch-free, perfectly linear averaging (for unit tests)."""
-        return cls(
-            gain_error_sigma=0.0, offset_error_sigma_per_vdd=0.0, compression=0.0
-        )
-
     # -- core op ------------------------------------------------------------------
 
     def pool(

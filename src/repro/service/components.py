@@ -34,6 +34,8 @@ from ..stream.source import (
     drone_traffic_clip,
     ground_truth_detector,
     pedestrian_clip,
+    require_int,
+    require_real,
 )
 from .registry import (
     register_classifier,
@@ -136,6 +138,11 @@ def _visdrone_scenes(n_frames: int, seed: int, **params) -> SyntheticClip:
 # -- detectors ---------------------------------------------------------------------
 
 
+def _require_str_list(name: str, value) -> None:
+    if not (isinstance(value, list) and value and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{name} must be a non-empty list of strings, got {value!r}")
+
+
 @register_detector("ground-truth")
 def _ground_truth(clip: SyntheticClip, **params):
     """Oracle stage-1: reads the clip's ground truth (params: score, label).
@@ -143,6 +150,10 @@ def _ground_truth(clip: SyntheticClip, **params):
     Isolates *system* costs (transfer/energy/reuse behavior) from detector
     quality, exactly like the paper's analytical experiments.
     """
+    if "score" in params:
+        require_real("score", params["score"])
+    if not isinstance(params.get("label", ""), str):
+        raise ValueError(f"label must be a string, got {params['label']!r}")
     return ground_truth_detector(clip, **params)
 
 
@@ -154,10 +165,16 @@ def _grid(clip: SyntheticClip, **params):
     CNN forward path.  Train-and-freeze flows should build their own
     :class:`~repro.ml.GridDetector` and register it under a new name.
     """
-    seed = int(params.pop("seed", 0))
+    seed = params.pop("seed", 0)
+    require_int("seed", seed, minimum=0)
+    classes = params.pop("classes", ["object"])
+    _require_str_list("classes", classes)
+    for name in ("score_threshold", "nms_iou"):
+        if name in params:
+            require_real(name, params[name])
     config = GridDetectorConfig(
         input_hw=(clip.resolution[1], clip.resolution[0]),
-        classes=tuple(params.pop("classes", ("object",))),
+        classes=tuple(classes),
         **params,
     )
     return GridDetector(config, seed=seed).detect, None
@@ -233,15 +250,19 @@ def _tiny_cnn(**params):
     Train-and-freeze flows should build their own
     :class:`~repro.ml.CropClassifier` and register it under a new name.
     """
-    input_size = int(params.pop("input_size", 32))
-    width = int(params.pop("width", 8))
-    seed = int(params.pop("seed", 0))
-    classes = [str(c) for c in params.pop("classes", ("object", "background"))]
+    input_size = params.pop("input_size", 32)
+    width = params.pop("width", 8)
+    seed = params.pop("seed", 0)
+    classes = params.pop("classes", ["object", "background"])
     if params:
         raise ValueError(
             f"unknown tiny-cnn param(s) {sorted(params)}; "
             "valid: input_size, classes, width, seed"
         )
+    require_int("input_size", input_size)
+    require_int("width", width, minimum=1)
+    require_int("seed", seed, minimum=0)
+    _require_str_list("classes", classes)
     net = tiny_cnn(input_size, len(classes), width=width, seed=seed)
     return CropClassifier(net, (input_size, input_size), classes)
 

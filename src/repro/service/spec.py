@@ -155,11 +155,17 @@ class ScenarioSpec:
             raise SpecError(f"scenario.n_frames: must be >= 1, got {self.n_frames}")
         if self.window < 1:
             raise SpecError(f"scenario.window: must be >= 1, got {self.window}")
-        if self.frame_seeds is not None and len(self.frame_seeds) != self.n_frames:
-            raise SpecError(
-                f"scenario.frame_seeds: {len(self.frame_seeds)} seeds for "
-                f"{self.n_frames} frames"
-            )
+        if self.seed < 0:
+            raise SpecError(f"scenario.seed: must be >= 0, got {self.seed}")
+        if self.frame_seeds is not None:
+            if len(self.frame_seeds) != self.n_frames:
+                raise SpecError(
+                    f"scenario.frame_seeds: {len(self.frame_seeds)} seeds for "
+                    f"{self.n_frames} frames"
+                )
+            for i, seed in enumerate(self.frame_seeds):
+                if seed < 0:
+                    raise SpecError(f"scenario.frame_seeds[{i}]: must be >= 0, got {seed}")
 
     @property
     def label(self) -> str:

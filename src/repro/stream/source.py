@@ -153,20 +153,32 @@ def _render_clip(
     return SyntheticClip(frames, ground_truth, resolution)
 
 
-def _check_motion(count_name: str, count: int, speed: float, jitter: float) -> None:
-    """Reject source parameters that would render garbage or nothing.
+def require_int(name: str, value, minimum: int | None = None) -> None:
+    """Reject a component param that is not an integer (at least
+    ``minimum``, if given).
 
-    One spelling per value, as in :mod:`repro.codec`: a count is an
-    integer and never a bool or a float, ``speed`` and ``jitter`` are
-    real numbers and never bools.  NumPy scalars count as their kind.
+    One spelling per value, as in :mod:`repro.codec`: an integer is never
+    a bool or a float.  NumPy integers count as integers.
     """
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-        raise ValueError(f"{count_name} must be an int, got {count!r}")
-    if count < 0:
-        raise ValueError(f"{count_name} must be >= 0, got {count}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_real(name: str, value) -> None:
+    """Reject a component param that is not a real number; a bool is not
+    one (NumPy scalars count as their kind)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_motion(count_name: str, count: int, speed: float, jitter: float) -> None:
+    """Reject source parameters that would render garbage or nothing: a
+    count is an integer >= 0, ``speed`` and ``jitter`` are finite reals."""
+    require_int(count_name, count, minimum=0)
     for name, value in (("speed", speed), ("jitter", jitter)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+        require_real(name, value)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if jitter < 0:

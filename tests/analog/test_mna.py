@@ -10,7 +10,6 @@ import pytest
 from repro.analog import (
     Capacitor,
     Circuit,
-    CurrentSource,
     DC,
     MNASolver,
     MOSFET,
@@ -19,8 +18,6 @@ from repro.analog import (
     PWL,
     Resistor,
     VoltageSource,
-    dc_operating_point,
-    transient,
 )
 
 
@@ -34,19 +31,12 @@ def divider(r1=1e3, r2=1e3, vin=1.0) -> Circuit:
 
 class TestDCLinear:
     def test_voltage_divider(self):
-        sol = dc_operating_point(divider())
+        sol = MNASolver(divider()).dc()
         assert sol["mid"] == pytest.approx(0.5)
 
     def test_asymmetric_divider(self):
-        sol = dc_operating_point(divider(r1=3e3, r2=1e3, vin=2.0))
+        sol = MNASolver(divider(r1=3e3, r2=1e3, vin=2.0)).dc()
         assert sol["mid"] == pytest.approx(0.5)
-
-    def test_current_source_into_resistor(self):
-        c = Circuit("cs")
-        c.add(CurrentSource("I1", "0", "a", 1e-3))  # 1 mA into node a
-        c.add(Resistor("R1", "a", "0", 2e3))
-        sol = dc_operating_point(c)
-        assert sol["a"] == pytest.approx(2.0)
 
     def test_two_sources_superposition(self):
         c = Circuit("two")
@@ -55,7 +45,7 @@ class TestDCLinear:
         c.add(Resistor("Ra", "a", "m", 1e3))
         c.add(Resistor("Rb", "b", "m", 1e3))
         c.add(Resistor("Rg", "m", "0", 1e9))
-        sol = dc_operating_point(c)
+        sol = MNASolver(c).dc()
         assert sol["m"] == pytest.approx(2.0, rel=1e-3)
 
     def test_negative_supply(self):
@@ -63,7 +53,7 @@ class TestDCLinear:
         c.add(VoltageSource("V1", "a", "0", -1.0))
         c.add(Resistor("R1", "a", "m", 1e3))
         c.add(Resistor("R2", "m", "0", 1e3))
-        sol = dc_operating_point(c)
+        sol = MNASolver(c).dc()
         assert sol["m"] == pytest.approx(-0.5)
 
     def test_time_varying_source_sampled_at_t(self):
@@ -170,17 +160,17 @@ class TestTransient:
         c.add(Capacitor("C1", "out", "0", 1e-6))
         result = MNASolver(c).transient(t_stop=10e-3, dt=5e-5)
         assert result.voltage("out")[0] == pytest.approx(1.0, abs=1e-6)
-        assert result.final("out") < 0.01
+        assert result.voltage("out")[-1] < 0.01
 
     def test_ground_waveform_is_zero(self):
-        result = transient(divider(), t_stop=1e-4, dt=1e-5)
+        result = MNASolver(divider()).transient(t_stop=1e-4, dt=1e-5)
         assert np.all(result.voltage("0") == 0.0)
 
     def test_sample_interpolates(self):
         c = Circuit("ramp")
         c.add(VoltageSource("Vin", "a", "0", PWL([(0.0, 0.0), (1e-3, 1.0)])))
         c.add(Resistor("R1", "a", "0", 1e3))
-        result = transient(c, t_stop=1e-3, dt=1e-4)
+        result = MNASolver(c).transient(t_stop=1e-3, dt=1e-4)
         assert result.sample("a", 0.5e-3) == pytest.approx(0.5, abs=1e-6)
 
     def test_rejects_bad_dt(self):

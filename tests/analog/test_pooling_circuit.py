@@ -9,7 +9,6 @@ from repro.analog import (
     PoolingCircuitSpec,
     build_pooling_circuit,
     build_resistive_average,
-    dc_operating_point,
     ideal_shared_node_voltage,
     invert_shared_node_voltage,
     pixels_per_pool,
@@ -40,7 +39,7 @@ class TestResistiveCore:
     ])
     def test_matches_analytic_mean(self, inputs):
         circuit = build_resistive_average([DC(v) for v in inputs])
-        sol = dc_operating_point(circuit)
+        sol = MNASolver(circuit).dc()
         mean = sum(inputs) / len(inputs)
         assert sol[AVG_NODE] == pytest.approx(
             ideal_shared_node_voltage(mean, 1.0), abs=1e-9
@@ -53,12 +52,12 @@ class TestResistiveCore:
     def test_shared_node_below_zero(self):
         """The paper's design goal: node G stays below 0 V."""
         circuit = build_resistive_average([DC(1.0)] * 4)  # max inputs
-        sol = dc_operating_point(circuit)
+        sol = MNASolver(circuit).dc()
         assert sol[AVG_NODE] <= 0.0
 
     def test_scales_to_192_inputs(self):
         inputs = [DC(1.0 if i % 2 else 0.0) for i in range(192)]
-        sol = dc_operating_point(build_resistive_average(inputs))
+        sol = MNASolver(build_resistive_average(inputs)).dc()
         assert sol[AVG_NODE] == pytest.approx(
             ideal_shared_node_voltage(0.5, 1.0), abs=1e-6
         )
@@ -74,13 +73,13 @@ class TestTransistorCircuit:
         outputs = []
         for level in (0.2, 0.5, 0.8):
             circuit = build_pooling_circuit([DC(level)] * 4)
-            outputs.append(dc_operating_point(circuit)[AVG_NODE])
+            outputs.append(MNASolver(circuit).dc()[AVG_NODE])
         assert outputs[0] < outputs[1] < outputs[2]
 
     def test_insensitive_to_permutation(self):
         """Averaging is symmetric: input order must not matter."""
-        a = dc_operating_point(build_pooling_circuit([DC(0.2), DC(0.9), DC(0.5)]))
-        b = dc_operating_point(build_pooling_circuit([DC(0.5), DC(0.2), DC(0.9)]))
+        a = MNASolver(build_pooling_circuit([DC(0.2), DC(0.9), DC(0.5)])).dc()
+        b = MNASolver(build_pooling_circuit([DC(0.5), DC(0.2), DC(0.9)])).dc()
         assert a[AVG_NODE] == pytest.approx(b[AVG_NODE], abs=1e-9)
 
     def test_row_select_changes_little(self):
@@ -91,8 +90,8 @@ class TestTransistorCircuit:
         without_rs = build_pooling_circuit(
             [DC(0.6)] * 4, PoolingCircuitSpec(row_select=False)
         )
-        va = dc_operating_point(with_rs)[AVG_NODE]
-        vb = dc_operating_point(without_rs)[AVG_NODE]
+        va = MNASolver(with_rs).dc()[AVG_NODE]
+        vb = MNASolver(without_rs).dc()[AVG_NODE]
         assert abs(va - vb) < 0.05
 
     def test_load_capacitance_slows_settling(self):
@@ -100,7 +99,7 @@ class TestTransistorCircuit:
         circuit = build_pooling_circuit([DC(0.8)] * 2, spec)
         solver = MNASolver(circuit)
         result = solver.transient(t_stop=1e-5, dt=1e-7, from_dc=False)
-        final = result.final(AVG_NODE)
+        final = result.voltage(AVG_NODE)[-1]
         early = result.voltage(AVG_NODE)[1]
         assert abs(early - final) > 1e-3  # not settled instantly
 

@@ -1,10 +1,8 @@
 """Tests for the SPICE-style stimulus waveforms."""
 
-import math
-
 import pytest
 
-from repro.analog import DC, PWL, Pulse, Sine, Triangle, as_waveform
+from repro.analog import DC, PWL, Pulse, as_waveform
 
 
 class TestDC:
@@ -75,35 +73,3 @@ class TestPulse:
     def test_mid_rise_value(self):
         w = Pulse(v1=0.0, v2=1.0, rise=2e-6, width=10e-6, period=100e-6)
         assert w(1e-6) == pytest.approx(0.5)
-
-
-class TestSine:
-    def test_offset_at_zero_phase(self):
-        w = Sine(offset=0.5, amplitude=0.3, freq=1e3)
-        assert w(0.0) == pytest.approx(0.5)
-
-    def test_peak_at_quarter_period(self):
-        w = Sine(offset=0.0, amplitude=1.0, freq=1.0)
-        assert w(0.25) == pytest.approx(1.0)
-
-    def test_phase_shift(self):
-        w = Sine(offset=0.0, amplitude=1.0, freq=1.0, phase=math.pi / 2)
-        assert w(0.0) == pytest.approx(1.0)
-
-
-class TestTriangle:
-    def test_starts_low(self):
-        w = Triangle(low=0.1, high=0.9, period=1.0)
-        assert w(0.0) == pytest.approx(0.1)
-
-    def test_peaks_mid_period(self):
-        w = Triangle(low=0.0, high=1.0, period=2.0)
-        assert w(1.0) == pytest.approx(1.0)
-
-    def test_symmetric_descent(self):
-        w = Triangle(low=0.0, high=1.0, period=1.0)
-        assert w(0.25) == pytest.approx(w(0.75))
-
-    def test_phase_offset(self):
-        w = Triangle(low=0.0, high=1.0, period=1.0, phase=0.5)
-        assert w(0.0) == pytest.approx(1.0)

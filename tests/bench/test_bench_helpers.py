@@ -7,7 +7,6 @@ from repro.bench import (
     Table,
     ascii_bar_chart,
     ascii_line_chart,
-    get_experiment,
     series_csv,
 )
 
@@ -32,11 +31,6 @@ class TestTable:
         t.add_row("x", 1)
         line = t.render().splitlines()[-2]
         assert line.startswith("x")
-
-    def test_csv(self):
-        t = Table("demo", ["a", "b"])
-        t.add_row(1, 2)
-        assert t.to_csv() == "a,b\n1,2"
 
 
 class TestCharts:
@@ -88,7 +82,3 @@ class TestRegistry:
         root = pathlib.Path(__file__).resolve().parents[2]
         for exp in EXPERIMENTS.values():
             assert (root / exp.bench).exists(), f"missing {exp.bench}"
-
-    def test_get_experiment_unknown(self):
-        with pytest.raises(KeyError):
-            get_experiment("table9")

@@ -1,11 +1,9 @@
-"""Tests for the video extension (ROI tracking, keyframe cadence) and the
-timing model."""
+"""Tests for the video extension (ROI tracking, keyframe cadence)."""
 
 import numpy as np
 import pytest
 
 from repro.core import HiRISEConfig, HiRISEPipeline, ROI, ROITracker, Track
-from repro.sensor import ReadoutTimingModel
 from repro.stream import KeyframeReuse, StreamRunner
 
 
@@ -122,43 +120,3 @@ class TestVideoPipeline:
         with pytest.raises(ValueError):
             KeyframeReuse(interval=0)
 
-
-class TestReadoutTimingModel:
-    def test_full_frame_components(self):
-        model = ReadoutTimingModel(
-            row_time_s=1e-6, conversions_per_s=1e9, link_bytes_per_s=1e9
-        )
-        t = model.full_frame_s(100, 50)
-        expected = 50 * 1e-6 + 15000 / 1e9 + 15000 / 1e9
-        assert t == pytest.approx(expected)
-
-    def test_pooled_faster_than_full(self):
-        model = ReadoutTimingModel()
-        full = model.full_frame_s(2560, 1920)
-        pooled = model.pooled_frame_s(2560, 1920, k=8)
-        assert pooled < full / 8
-
-    def test_grayscale_converts_third(self):
-        model = ReadoutTimingModel(row_time_s=0.0)
-        rgb = model.pooled_frame_s(960, 720, 4, grayscale=False)
-        gray = model.pooled_frame_s(960, 720, 4, grayscale=True)
-        assert gray == pytest.approx(rgb / 3)
-
-    def test_hirise_frame_beats_baseline(self):
-        model = ReadoutTimingModel()
-        rois = [(0, 0, 112, 112)] * 16
-        speedup = model.speedup_vs_baseline(2560, 1920, 8, rois)
-        assert speedup > 4
-
-    def test_roi_latency_grows_with_count(self):
-        model = ReadoutTimingModel()
-        one = model.roi_readout_s([(0, 0, 50, 50)])
-        four = model.roi_readout_s([(0, 0, 50, 50)] * 4)
-        assert four > 3 * one
-
-    def test_validation(self):
-        model = ReadoutTimingModel()
-        with pytest.raises(ValueError):
-            model.pooled_frame_s(100, 100, 0)
-        with pytest.raises(ValueError):
-            model.roi_readout_s([(0, 0, -1, 5)])

@@ -84,11 +84,6 @@ class TestSceneGenerator:
         with pytest.raises(ValueError):
             SceneGenerator(CROWDHUMAN_LIKE, (16, 16), seed=0)
 
-    def test_total_box_area_filter(self, small_scene):
-        total = small_scene.total_box_area()
-        persons_only = small_scene.total_box_area(("person",))
-        assert 0 < persons_only < total
-
 
 class TestSceneResolutionIndependence:
     def test_profile_scales_with_resolution(self):

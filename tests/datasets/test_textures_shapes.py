@@ -11,7 +11,7 @@ from repro.datasets.shapes import (
     fill_ellipse,
     fill_rect,
 )
-from repro.datasets.textures import checker, colorize, speckle, stripes, value_noise
+from repro.datasets.textures import colorize, stripes, value_noise
 
 
 class TestTextures:
@@ -35,16 +35,6 @@ class TestTextures:
     def test_stripes_rejects_bad_pitch(self):
         with pytest.raises(ValueError):
             stripes((4, 4), pitch=0.0)
-
-    def test_checker_alternates(self):
-        field = checker((4, 4), cell=2)
-        assert field[0, 0] != field[0, 2]
-        assert field[0, 0] == field[2, 2]
-
-    def test_speckle_centered(self):
-        rng = np.random.default_rng(2)
-        field = speckle((200, 200), rng, strength=0.5)
-        assert abs(field.mean() - 0.5) < 0.01
 
     def test_colorize_endpoints(self):
         field = np.array([[0.0, 1.0]])

@@ -1,4 +1,4 @@
-"""Integration: video amortization + readout timing on realistic scenes."""
+"""Integration: video amortization on realistic scenes."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.core import HiRISEConfig, HiRISEPipeline, ROI
 from repro.datasets.shapes import draw_person
 from repro.datasets.textures import colorize, value_noise
 from repro.ml import Detection
-from repro.sensor import ReadoutTimingModel
 from repro.stream import KeyframeReuse, StreamRunner
 
 
@@ -78,30 +77,3 @@ class TestVideoOnScenes:
                     f"frame {stats.frame_index}: pedestrian lost (IoU {best:.2f})"
                 )
 
-
-class TestTimingIntegration:
-    def test_hirise_latency_tracks_energy_savings(self):
-        """The latency win has the same driver (fewer conversions)."""
-        timing = ReadoutTimingModel()
-        rois = [(0, 0, 112, 112)] * 16
-        latency_speedup = timing.speedup_vs_baseline(2560, 1920, 8, rois)
-
-        from repro.core import EnergyModel
-
-        model = EnergyModel()
-        energy_reduction = (
-            model.conventional_frame(2560, 1920).total
-            / model.hirise_frame(2560, 1920, 8, [ROI(0, 0, 112, 112)] * 16).total
-        )
-        # Latency includes row-activation overheads the energy model skips,
-        # so the speedup is smaller but must point the same way, firmly.
-        assert latency_speedup > 3
-        assert energy_reduction > latency_speedup / 4
-
-    def test_per_stage_latency_budget(self):
-        timing = ReadoutTimingModel()
-        stage1 = timing.pooled_frame_s(2560, 1920, 8)
-        stage2 = timing.roi_readout_s([(0, 0, 112, 112)] * 16)
-        full = timing.full_frame_s(2560, 1920)
-        assert stage1 + stage2 < full
-        assert stage1 < full / 4

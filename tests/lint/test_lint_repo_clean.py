@@ -1,6 +1,6 @@
 """The merged tree is lint-clean, and every waiver is honest.
 
-This is the same gate CI runs (``repro lint src benchmarks tools``),
+This is the same gate CI runs (``repro lint src benchmarks tools examples``),
 expressed as a tier-1 test so a contract regression fails locally
 before it reaches the lint job.
 """
@@ -10,7 +10,7 @@ from pathlib import Path
 from repro.lint import all_rule_ids, lint_paths, scan_suppressions
 
 REPO = Path(__file__).resolve().parents[2]
-LINTED = ("src", "benchmarks", "tools")
+LINTED = ("src", "benchmarks", "tools", "examples")
 
 
 def test_repo_tree_is_lint_clean():

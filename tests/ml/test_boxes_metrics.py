@@ -4,23 +4,22 @@ import numpy as np
 import pytest
 
 from repro.ml import Detection, evaluate_detections, iou_matrix, nms
-from repro.ml.eval.boxes import box_iou, xywh_to_xyxy, xyxy_to_xywh
-from repro.ml.eval.metrics import average_precision, classification_accuracy
+from repro.ml.eval.metrics import average_precision
 
 
 class TestIoU:
     def test_identical_boxes(self):
-        assert box_iou((0, 0, 10, 10), (0, 0, 10, 10)) == pytest.approx(1.0)
+        assert iou_matrix((0, 0, 10, 10), (0, 0, 10, 10))[0, 0] == pytest.approx(1.0)
 
     def test_disjoint_boxes(self):
-        assert box_iou((0, 0, 5, 5), (10, 10, 5, 5)) == 0.0
+        assert iou_matrix((0, 0, 5, 5), (10, 10, 5, 5))[0, 0] == 0.0
 
     def test_half_overlap(self):
         # Two 10x10 boxes sharing a 5x10 strip: IoU = 50/150.
-        assert box_iou((0, 0, 10, 10), (5, 0, 10, 10)) == pytest.approx(1 / 3)
+        assert iou_matrix((0, 0, 10, 10), (5, 0, 10, 10))[0, 0] == pytest.approx(1 / 3)
 
     def test_contained_box(self):
-        assert box_iou((0, 0, 10, 10), (2, 2, 5, 5)) == pytest.approx(25 / 100)
+        assert iou_matrix((0, 0, 10, 10), (2, 2, 5, 5))[0, 0] == pytest.approx(25 / 100)
 
     def test_matrix_shape(self):
         a = np.array([[0, 0, 5, 5], [10, 10, 5, 5]])
@@ -34,11 +33,7 @@ class TestIoU:
         assert iou_matrix(np.zeros((0, 4)), np.zeros((3, 4))).shape == (0, 3)
 
     def test_degenerate_box_zero_iou(self):
-        assert box_iou((0, 0, 0, 10), (0, 0, 5, 5)) == 0.0
-
-    def test_conversions_roundtrip(self):
-        boxes = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 10.0, 5.0]])
-        assert np.allclose(xyxy_to_xywh(xywh_to_xyxy(boxes)), boxes)
+        assert iou_matrix((0, 0, 0, 10), (0, 0, 5, 5))[0, 0] == 0.0
 
 
 class TestNMS:
@@ -150,18 +145,3 @@ class TestEvaluateDetections:
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ValueError):
             evaluate_detections([[], []], [[]], ["person"])
-
-
-class TestClassificationAccuracy:
-    def test_perfect(self):
-        assert classification_accuracy(np.array([0, 1, 2]), np.array([0, 1, 2])) == 1.0
-
-    def test_partial(self):
-        assert classification_accuracy(np.array([0, 1, 0]), np.array([0, 1, 2])) == pytest.approx(2 / 3)
-
-    def test_empty(self):
-        assert classification_accuracy(np.array([]), np.array([])) == 0.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            classification_accuracy(np.array([1]), np.array([1, 2]))

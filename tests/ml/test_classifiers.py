@@ -9,12 +9,8 @@ from repro.ml import (
     HOGClassifier,
     SoftmaxRegression,
     hog_features,
-    mcunetv2_like_classifier,
-    mobilenetv2_like_classifier,
     tiny_cnn,
 )
-from repro.ml.train import fit_classifier, predict_classifier
-from repro.ml.optim import Adam
 
 
 class TestHOGFeatures:
@@ -55,13 +51,6 @@ class TestSoftmaxRegression:
         y = (x[:, 0] > 0).astype(np.int64)
         model = SoftmaxRegression(n_classes=2, epochs=200).fit(x, y)
         assert np.mean(model.predict(x) == y) > 0.95
-
-    def test_predict_proba_sums_to_one(self, rng):
-        x = rng.standard_normal((20, 4))
-        y = rng.integers(0, 3, 20)
-        model = SoftmaxRegression(n_classes=3, epochs=50).fit(x, y)
-        probs = model.predict_proba(x)
-        assert np.allclose(probs.sum(axis=1), 1.0)
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
@@ -110,27 +99,9 @@ class TestTinyCNN:
         x = rng.random((2, 14, 14, 3))
         assert net(x).shape == (2, 7)
 
-    def test_capacity_ordering(self):
-        small = mcunetv2_like_classifier(28, 7)
-        large = mobilenetv2_like_classifier(28, 7)
-        assert large.n_parameters() > small.n_parameters()
-
     def test_rejects_tiny_input(self):
         with pytest.raises(ValueError):
             tiny_cnn(4, n_classes=2)
-
-    def test_trains_on_trivial_task(self, rng):
-        """Black vs white images: the CNN must fit this quickly."""
-        x = np.concatenate([
-            np.zeros((12, 16, 16, 3)),
-            np.ones((12, 16, 16, 3)),
-        ])
-        y = np.array([0] * 12 + [1] * 12)
-        net = tiny_cnn(16, n_classes=2, width=4, seed=1)
-        fit_classifier(net, x, y, Adam(net.params(), lr=5e-3), epochs=12,
-                       batch_size=6, seed=0)
-        preds = predict_classifier(net, x)
-        assert np.mean(preds == y) > 0.9
 
 
 class TestCropClassifier:

@@ -58,7 +58,7 @@ class TestCorrelationDetector:
     def test_fit_records_templates(self, train_scenes):
         det = CorrelationDetector(classes=("person", "head"))
         det.fit([s.image for s in train_scenes], [s.boxes for s in train_scenes])
-        assert set(det.fitted_classes) == {"person", "head"}
+        assert set(det._templates) == {"person", "head"}
 
     def test_recovers_planted_square(self):
         """A high-contrast synthetic square is found near-perfectly."""

@@ -1,11 +1,11 @@
-"""Tests for image utilities (resize, grayscale, padded crop)."""
+"""Tests for image utilities (resize, grayscale)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.ml import crop_padded, ensure_channels, resize_bilinear, to_gray
+from repro.ml import ensure_channels, resize_bilinear, to_gray
 
 
 class TestToGray:
@@ -72,30 +72,6 @@ class TestResizeBilinear:
     def test_rejects_empty_output(self):
         with pytest.raises(ValueError):
             resize_bilinear(np.zeros((4, 4)), (0, 4))
-
-
-class TestCropPadded:
-    def test_interior_crop(self):
-        img = np.arange(24, dtype=float).reshape(4, 6)
-        out = crop_padded(img, 1, 1, 3, 2)
-        assert np.array_equal(out, img[1:3, 1:4])
-
-    def test_pads_out_of_bounds(self):
-        img = np.ones((4, 4, 3))
-        out = crop_padded(img, -2, -2, 4, 4)
-        assert out.shape == (4, 4, 3)
-        assert out[0, 0, 0] == 0.0  # padded corner
-        assert out[3, 3, 0] == 1.0  # real pixel
-
-    def test_fully_outside_is_zeros(self):
-        img = np.ones((4, 4))
-        out = crop_padded(img, 10, 10, 3, 3)
-        assert out.shape == (3, 3)
-        assert np.all(out == 0.0)
-
-    def test_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            crop_padded(np.ones((4, 4)), 0, 0, 0, 3)
 
 
 def _reference_resize(image, out_hw):

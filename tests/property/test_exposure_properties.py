@@ -58,7 +58,7 @@ def eager_exposure(scene: np.ndarray, vdd: float, noise: NoiseModel) -> np.ndarr
     else:
         np.copyto(out, image)
     out *= vdd
-    if not noise.is_noiseless():
+    if (noise.read_noise, noise.shot_noise_scale, noise.dsnu, noise.prnu) != (0, 0, 0, 0):
         gain, offset = noise.fixed_pattern_maps(out.shape)
         out *= gain
         out += offset

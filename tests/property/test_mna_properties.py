@@ -10,7 +10,6 @@ from repro.analog import (
     Resistor,
     VoltageSource,
     build_resistive_average,
-    dc_operating_point,
     ideal_shared_node_voltage,
 )
 
@@ -22,7 +21,7 @@ class TestLinearNetworkProperties:
     @settings(max_examples=40, deadline=None)
     def test_resistive_average_matches_closed_form(self, inputs):
         circuit = build_resistive_average([DC(v) for v in inputs])
-        sol = dc_operating_point(circuit)
+        sol = MNASolver(circuit).dc()
         expected = ideal_shared_node_voltage(float(np.mean(inputs)), 1.0)
         assert abs(sol["avg"] - expected) < 1e-8
 
@@ -37,7 +36,7 @@ class TestLinearNetworkProperties:
         c.add(VoltageSource("V", "in", "0", vin))
         c.add(Resistor("R1", "in", "m", r1))
         c.add(Resistor("R2", "m", "0", r2))
-        sol = dc_operating_point(c)
+        sol = MNASolver(c).dc()
         assert np.isclose(sol["m"], vin * r2 / (r1 + r2), rtol=1e-9)
 
     @given(
@@ -54,7 +53,7 @@ class TestLinearNetworkProperties:
             for i, r in enumerate(resistances):
                 c.add(Resistor(f"R{i}", f"n{i}", f"n{i+1}", r))
             c.add(Resistor("Rend", f"n{len(resistances)}", "0", 1e3))
-            return dc_operating_point(c)
+            return MNASolver(c).dc()
 
         sol1 = solve(1.0)
         sol2 = solve(2.0)
@@ -68,6 +67,6 @@ class TestLinearNetworkProperties:
         from repro.analog import invert_shared_node_voltage
 
         circuit = build_resistive_average([DC(v) for v in inputs])
-        sol = dc_operating_point(circuit)
+        sol = MNASolver(circuit).dc()
         recovered = invert_shared_node_voltage(sol["avg"], 1.0)
         assert min(inputs) - 1e-9 <= recovered <= max(inputs) + 1e-9

@@ -112,7 +112,9 @@ class TestPoolingProperties:
     @settings(max_examples=50, deadline=None)
     def test_pooling_linearity(self, img, k):
         """Ideal analog pooling is linear: pool(a*x) = a*pool(x)."""
-        model = AnalogPoolingModel.ideal()
+        model = AnalogPoolingModel(
+            gain_error_sigma=0.0, offset_error_sigma_per_vdd=0.0, compression=0.0
+        )
         a = 0.5
         lhs = model.pool(a * img, k, vdd=1.0)
         rhs = a * model.pool(img, k, vdd=1.0)
@@ -136,7 +138,9 @@ class TestPoolingProperties:
     @settings(max_examples=30, deadline=None)
     def test_grayscale_pool_commutes_for_ideal_circuit(self, img, k):
         """Channel-merge then pool == pool then channel-merge (both are means)."""
-        model = AnalogPoolingModel.ideal()
+        model = AnalogPoolingModel(
+            gain_error_sigma=0.0, offset_error_sigma_per_vdd=0.0, compression=0.0
+        )
         merged_first = model.pool(img, k, vdd=1.0, grayscale=True)
         pooled_first = model.pool(img, k, vdd=1.0, grayscale=False).mean(axis=2)
         assert np.allclose(merged_first, pooled_first, atol=1e-12)
@@ -150,7 +154,7 @@ class TestADCProperties:
     @settings(max_examples=60, deadline=None)
     def test_quantization_error_bounded(self, v, bits):
         adc = ADCModel(bits=bits)
-        err = np.abs(adc.digitize(v) - v)
+        err = np.abs(adc.to_float(adc.convert(v)) - v)
         assert np.all(err <= adc.lsb / 2 + 1e-12)
 
     @given(

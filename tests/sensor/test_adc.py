@@ -29,8 +29,9 @@ class TestQuantization:
 
     def test_more_bits_less_error(self):
         v = np.linspace(0.0, 1.0, 997)
-        err8 = np.abs(ADCModel(bits=8).digitize(v) - v).max()
-        err12 = np.abs(ADCModel(bits=12).digitize(v) - v).max()
+        adc8, adc12 = ADCModel(bits=8), ADCModel(bits=12)
+        err8 = np.abs(adc8.to_float(adc8.convert(v)) - v).max()
+        err12 = np.abs(adc12.to_float(adc12.convert(v)) - v).max()
         assert err12 < err8
 
     def test_1bit_adc(self):
@@ -53,8 +54,10 @@ class TestQuantization:
         v = np.full(100, 0.5)
         first, second = adc.convert(v), adc.convert(v)
         assert not np.array_equal(first, second)
-        # same through the normalized readout path
-        assert not np.array_equal(adc.digitize(v), adc.digitize(v))
+        # same once normalized
+        assert not np.array_equal(
+            adc.to_float(adc.convert(v)), adc.to_float(adc.convert(v))
+        )
 
     def test_explicit_rng_still_wins(self):
         adc = ADCModel(noise_lsb=0.5, seed=11)

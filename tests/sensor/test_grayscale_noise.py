@@ -45,7 +45,9 @@ class TestGrayscale:
 class TestNoiseModel:
     def test_noiseless_is_noiseless(self):
         model = NoiseModel.noiseless()
-        assert model.is_noiseless()
+        assert (model.read_noise, model.shot_noise_scale, model.dsnu, model.prnu) == (
+            0.0, 0.0, 0.0, 0.0,
+        )
         rng = np.random.default_rng(0)
         noise = model.temporal_noise(np.full((5, 5), 0.5), 1.0, rng)
         assert np.all(noise == 0.0)

@@ -6,6 +6,11 @@ import pytest
 from repro.sensor import AnalogPoolingModel, block_reduce_mean, digital_avg_pool
 from repro.sensor.pooling import _mismatch_maps
 
+#: Mismatch-free, perfectly linear averaging.
+IDEAL = AnalogPoolingModel(
+    gain_error_sigma=0.0, offset_error_sigma_per_vdd=0.0, compression=0.0
+)
+
 
 class TestBlockReduce:
     def test_constant_image_preserved(self):
@@ -43,15 +48,14 @@ class TestAnalogPoolingModel:
     def test_ideal_matches_digital(self):
         rng = np.random.default_rng(5)
         img = rng.random((16, 16, 3))
-        ideal = AnalogPoolingModel.ideal()
-        analog = ideal.pool(img, 4, vdd=1.0)
+        analog = IDEAL.pool(img, 4, vdd=1.0)
         digital = digital_avg_pool(img, 4)
         assert np.allclose(analog, digital, atol=1e-12)
 
     def test_grayscale_merges_channels(self):
         img = np.zeros((4, 4, 3))
         img[:, :, 0] = 0.9  # only red lit
-        out = AnalogPoolingModel.ideal().pool(img, 2, vdd=1.0, grayscale=True)
+        out = IDEAL.pool(img, 2, vdd=1.0, grayscale=True)
         assert out.shape == (2, 2)
         assert np.allclose(out, 0.3)
 

@@ -12,10 +12,15 @@ from repro.sensor import (
     clip_box,
 )
 
+#: Mismatch-free, perfectly linear averaging.
+IDEAL = AnalogPoolingModel(
+    gain_error_sigma=0.0, offset_error_sigma_per_vdd=0.0, compression=0.0
+)
+
 
 @pytest.fixture()
 def readout(noiseless_array):
-    return SensorReadout(noiseless_array, pooling=AnalogPoolingModel.ideal())
+    return SensorReadout(noiseless_array, pooling=IDEAL)
 
 
 class TestFullRead:
@@ -130,7 +135,7 @@ def nth_read(readout, voltages, n):
     noisy = voltages + readout.array.noise.temporal_noise(
         voltages, readout.array.vdd, g
     )
-    return readout.adc.digitize(noisy, rng=g)
+    return readout.adc.to_float(readout.adc.convert(noisy, rng=g))
 
 
 quiet = dict(read_noise=0.0, shot_noise_scale=0.0, dsnu=0.0, prnu=0.0)
@@ -178,12 +183,11 @@ def test_noiseless_read_builds_no_generator(noiseless_array, monkeypatch):
         return default_rng(*args)
 
     monkeypatch.setattr(np.random, "default_rng", spy)
-    ro = SensorReadout(noiseless_array, pooling=AnalogPoolingModel.ideal())
+    ro = SensorReadout(noiseless_array, pooling=IDEAL)
     pooled = ro.read_compressed(4)
     crops = ro.read_rois([(4, 2, 10, 6)])
     assert built == []
     pooled_v = ro.pooling.pool(noiseless_array.voltages, 4, noiseless_array.vdd)
-    assert np.array_equal(pooled.images, ro.adc.digitize(pooled_v))
-    assert np.array_equal(
-        crops.images[0], ro.adc.digitize(noiseless_array.region(4, 2, 10, 6))
-    )
+    assert np.array_equal(pooled.images, ro.adc.to_float(ro.adc.convert(pooled_v)))
+    window = noiseless_array.region(4, 2, 10, 6)
+    assert np.array_equal(crops.images[0], ro.adc.to_float(ro.adc.convert(window)))

@@ -23,11 +23,18 @@ from repro.server import (
     ServerShuttingDownError,
     wait_for_server,
 )
-from repro.server.protocol import RunRequest, encode_frame, parse_frame, read_frame
+from repro.server.protocol import (
+    ResultResponse,
+    RunRequest,
+    encode_frame,
+    parse_frame,
+    read_frame,
+)
 from repro.service import Engine, ScenarioSpec, SOURCES
 from repro.stream import pedestrian_clip
 
 SYSTEM = {"system": {"system": "hirise"}}
+TINY_SOURCE = {"name": "pedestrian", "params": {"resolution": [48, 36]}}
 
 
 def tiny_scenario(seed=0, n_frames=3, source="pedestrian", name=""):
@@ -171,11 +178,35 @@ class TestRequests:
             for got, want in zip(served, fresh):
                 assert got.outcome.frames == want.outcome.frames
 
-    def test_unknown_component_is_typed_bad_request(self):
-        with ReproServer(SYSTEM, workers=1, executor="serial") as server:
+    @pytest.mark.parametrize(
+        "system, scenario",
+        [
+            (SYSTEM, {"source": {"name": "no-such-source"}}),
+            (
+                {"system": {"system": "hirise", "noise": {}}},
+                {"source": TINY_SOURCE, "n_frames": 2, "frame_seeds": [-1, -2]},
+            ),
+            (
+                {
+                    "system": {
+                        "system": "hirise",
+                        "classifier": {"name": "tiny-cnn", "params": {"width": 0}},
+                    }
+                },
+                {"source": TINY_SOURCE, "n_frames": 2},
+            ),
+        ],
+        ids=["unknown-source", "negative-frame-seeds", "tiny-cnn-width-0"],
+    )
+    def test_unknown_component_is_typed_bad_request(self, system, scenario):
+        """A request the daemon cannot serve is answered ``bad-request``,
+        never ``internal``.  It goes out as a raw frame: the client's own
+        spec check would refuse a negative seed before it is sent."""
+        with ReproServer(system, workers=1, executor="serial") as server:
             with ServerClient(*server.address) as client:
+                client._send({"type": "run", "id": "bad", "scenario": scenario})
                 with pytest.raises(BadRequestError) as exc:
-                    client.run(tiny_scenario(source="no-such-source"))
+                    client._expect("bad", ResultResponse)
                 assert exc.value.code == "bad-request"
                 assert client.ping()  # connection survives the rejection
 

@@ -84,21 +84,47 @@ class TestConstruction:
         with pytest.raises(SpecError, match="pedestrian"):
             engine.run(bad)
 
-    def test_bad_detector_params_raise_spec_error(self):
-        engine = Engine(
-            SystemSpec(detector=ComponentRef("ground-truth", {"labl": "x"}))
-        )
-        with pytest.raises(SpecError, match=r"system\.detector.*ground-truth"):
+    # A bad param is a SpecError naming it when the request builds the
+    # component, before any frame runs: never a bare error mid-run, and
+    # never a silent reinterpretation (32.9 as 32, "ab" as two classes).
+    @pytest.mark.parametrize(
+        "name, params, field",
+        [
+            ("ground-truth", {"labl": "x"}, "labl"),
+            ("ground-truth", {"score": "x"}, "score"),
+            ("ground-truth", {"score": True}, "score"),
+            ("ground-truth", {"label": 5}, "label"),
+            ("grid", {"score_threshold": "x"}, "score_threshold"),
+            ("grid", {"nms_iou": True}, "nms_iou"),
+            ("grid", {"classes": "ab"}, "classes"),
+            ("grid", {"classes": []}, "classes"),
+            ("grid", {"seed": 1.5}, "seed"),
+        ],
+    )
+    def test_bad_detector_params_raise_spec_error(self, name, params, field):
+        engine = Engine(SystemSpec(detector=ComponentRef(name, params)))
+        with pytest.raises(SpecError, match=rf"system\.detector '{name}'.*{field}"):
             engine.run(scenario())
 
-    def test_bad_classifier_params_raise_spec_error(self):
+    @pytest.mark.parametrize(
+        "name, params, field",
+        [
+            ("mean-luma", {"gamma": 2.0}, "gamma"),
+            ("tiny-cnn", {"width": 0}, "width"),
+            ("tiny-cnn", {"width": True}, "width"),
+            ("tiny-cnn", {"input_size": 32.9}, "input_size"),
+            ("tiny-cnn", {"input_size": "32"}, "input_size"),
+            ("tiny-cnn", {"seed": 1.5}, "seed"),
+            ("tiny-cnn", {"seed": -1}, "seed"),
+            ("tiny-cnn", {"classes": "ab"}, "classes"),
+            ("tiny-cnn", {"classes": ["a", 2]}, "classes"),
+        ],
+    )
+    def test_bad_classifier_params_raise_spec_error(self, name, params, field):
         engine = Engine(
-            SystemSpec(
-                detector=SYSTEM.detector,
-                classifier=ComponentRef("mean-luma", {"gamma": 2.0}),
-            )
+            SystemSpec(detector=SYSTEM.detector, classifier=ComponentRef(name, params))
         )
-        with pytest.raises(SpecError, match=r"system\.classifier.*mean-luma"):
+        with pytest.raises(SpecError, match=rf"system\.classifier '{name}'.*{field}"):
             engine.run(scenario())
 
 

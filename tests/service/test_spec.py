@@ -113,10 +113,20 @@ class TestValidation:
             ScenarioSpec.from_dict({"frame_seeds": "abc"})
         with pytest.raises(SpecError, match=r"frame_seeds.*2 seeds for 3"):
             ScenarioSpec(n_frames=3, frame_seeds=(1, 2))
+        # a negative seed is refused by the spec, naming its index, not
+        # mid-run by the noise generator
+        with pytest.raises(SpecError, match=r"scenario\.frame_seeds\[0\]: must be >= 0, got -1"):
+            ScenarioSpec.from_dict({"n_frames": 2, "frame_seeds": [-1, -2]})
+        with pytest.raises(SpecError, match=r"scenario\.frame_seeds\[2\]: must be >= 0, got -3"):
+            ScenarioSpec(n_frames=3, frame_seeds=(0, 1, -3))
+        assert ScenarioSpec(n_frames=2, frame_seeds=(0, 0)).frame_seeds == (0, 0)
 
     def test_scenario_bounds_named(self):
         with pytest.raises(SpecError, match=r"scenario\.n_frames"):
             ScenarioSpec(n_frames=0)
+        with pytest.raises(SpecError, match=r"scenario\.seed: must be >= 0, got -1"):
+            ScenarioSpec.from_dict({"seed": -1})
+        assert ScenarioSpec(seed=0).seed == 0
         with pytest.raises(SpecError, match=r"scenario\.window: must be >= 1"):
             ScenarioSpec(window=0)
 
