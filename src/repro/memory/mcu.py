@@ -24,7 +24,6 @@ class MCUProfile:
         return self.sram_bytes / 1024.0
 
 
-
 #: The paper's case-study device (Arm Cortex-M7, Sec. 4.2).
 STM32H743 = MCUProfile("STM32H743", sram_bytes=512 * 1024, flash_bytes=2 * 1024 * 1024)
 

@@ -114,3 +114,14 @@ class TestCircuitQueries:
         assert not c.is_nonlinear()
         c.add(MOSFET("M1", "a", "a", "0"))
         assert c.is_nonlinear()
+
+    def test_branch_rows_follow_the_node_rows(self):
+        """Each voltage source gets one extra MNA row (its current), after
+        the node rows, in netlist order; other components get none."""
+        c = Circuit("q")
+        c.add(VoltageSource("V1", "a", "0", 1.0))
+        c.add(Resistor("R1", "a", "b", 1e3))
+        c.add(VoltageSource("V2", "b", "0", 0.5))
+        n_nodes = len(c.nodes)
+        assert c.branch_index(n_nodes) == {"V1": n_nodes, "V2": n_nodes + 1}
+        assert [comp.name for comp in c.components] == ["V1", "R1", "V2"]

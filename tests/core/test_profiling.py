@@ -118,6 +118,10 @@ class TestPhaseProfile:
     def test_merge_empty(self):
         assert not PhaseProfile.merge([])
 
+    def test_depth_counts_dotted_parents(self):
+        depths = [s.depth for s in self._profile(("a", 1, 1.0), ("a.b", 1, 0.5), ("a.b.c", 1, 0.1))]
+        assert depths == [0, 1, 2]
+
     def test_to_dict_round_trips_to_json(self):
         import json
 

@@ -119,4 +119,3 @@ class TestVideoPipeline:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             KeyframeReuse(interval=0)
-

@@ -84,6 +84,11 @@ class TestSceneGenerator:
         with pytest.raises(ValueError):
             SceneGenerator(CROWDHUMAN_LIKE, (16, 16), seed=0)
 
+    def test_total_box_area_filter(self, small_scene):
+        total = sum(b.area for b in small_scene.boxes)
+        persons_only = sum(b.area for b in small_scene.boxes_for("person"))
+        assert 0 < persons_only < total
+
 
 class TestSceneResolutionIndependence:
     def test_profile_scales_with_resolution(self):

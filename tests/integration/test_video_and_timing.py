@@ -76,4 +76,3 @@ class TestVideoOnScenes:
                 assert best > 0.25, (
                     f"frame {stats.frame_index}: pedestrian lost (IoU {best:.2f})"
                 )
-

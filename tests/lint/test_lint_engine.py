@@ -14,6 +14,7 @@ from repro.lint import (
     render_text,
     scan_suppressions,
 )
+from repro.lint.engine import iter_python_files
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -151,6 +152,19 @@ class TestFiltersAndApi:
             sorted(FIXTURES.glob("*.py")), config=DEFAULT_CONFIG
         )
         assert by_dir == by_file
+
+    def test_directories_expand_to_sorted_python_files(self, tmp_path):
+        for rel in ("b.py", "a/z.py", "a/notes.txt", ".venv/x.py", "a/__pycache__/y.py"):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text("")
+        # a file named twice (directly and through its directory) is read once
+        files = iter_python_files([tmp_path / "b.py", tmp_path])
+        assert [f.relative_to(tmp_path).as_posix() for f in files] == ["a/z.py", "b.py"]
+
+    def test_lock_scope_is_chosen_by_module_glob(self):
+        scope = DEFAULT_CONFIG.lock_scope_for("src/repro/service/cache.py")
+        assert scope is not None and scope.attrs == ("_entries", "_sizes")
+        assert DEFAULT_CONFIG.lock_scope_for("src/repro/service/engine.py") is None
 
 
 class TestDeterminism:

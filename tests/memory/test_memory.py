@@ -185,3 +185,20 @@ class TestZoo:
         narrow = mobilenetv2((56, 56), width_mult=0.5).total_params()
         wide = mobilenetv2((56, 56), width_mult=1.0).total_params()
         assert narrow < wide
+
+
+class TestMCUProfiles:
+    def test_fits_respects_sram(self):
+        """The peak counts the live input: a 512x512 RGB frame alone
+        overflows the case-study device's SRAM."""
+        g = ModelGraph("big", TensorShape(512, 512, 3))
+        g.add("c1", Conv(16))
+        report = analyze(g)
+        assert report.peak_sram_bytes > STM32H743.sram_bytes
+
+    def test_headroom(self):
+        g = ModelGraph("small", TensorShape(8, 8, 3))
+        g.add("c1", Conv(4))
+        report = analyze(g)
+        assert STM32H743.sram_kb == 512.0
+        assert STM32H743.sram_bytes - report.peak_sram_bytes > 500 * 1024

@@ -5,7 +5,7 @@ import pytest
 
 from repro.datasets import GroundTruthBox
 from repro.ml import CorrelationDetector, evaluate_detections
-from repro.ml.detector.classical import featurize
+from repro.ml.detector.classical import ClassTemplate, featurize
 from repro.ml.detector.grid import GridDetector, GridDetectorConfig
 
 
@@ -49,6 +49,15 @@ class TestCorrelationDetector:
             CorrelationDetector(classes=())
         with pytest.raises(ValueError):
             CorrelationDetector(classes=("a",), colorspace="hsv")
+
+    def test_template_bank_is_chosen_in_log_scale(self):
+        bank = {8: np.zeros((8, 4, 1)), 16: np.ones((16, 8, 1))}
+        template = ClassTemplate("person", bank, median_size=(12.0, 6.0))
+        # 11.5 px is linearly nearer 8, but a smaller ratio away from 16
+        assert template.nearest(11.5)[0] == 16
+        assert template.nearest(11.0)[0] == 8
+        size, entry = template.nearest(0.0)  # degenerate height: smallest entry
+        assert size == 8 and entry is bank[8]
 
     def test_detect_before_fit_raises(self):
         det = CorrelationDetector(classes=("person",))
@@ -155,6 +164,29 @@ class TestGridDetector:
             preds, annotations[:8], ["blob"], iou_threshold=0.3
         )
         assert result.map > 0.5
+
+    def test_loss_gradient_matches_finite_differences(self):
+        """``loss_and_grad``'s analytic gradient is the one training
+        follows: check it entry by entry on a positive and an empty cell."""
+        det = GridDetector(GridDetectorConfig(input_hw=(48, 48), classes=("a", "b")))
+        targets = np.stack([
+            det.encode_targets([GroundTruthBox("a", 3, 5, 10, 14)]),
+            det.encode_targets([GroundTruthBox("b", 20, 26, 12, 8)]),
+        ])
+        preds = np.random.default_rng(3).standard_normal(targets.shape)
+        _, grad = det.loss_and_grad(preds, targets)
+        positive = tuple(np.argwhere(targets[1, ..., 0] == 1.0)[0])
+        eps = 1e-6
+        for cell in (positive, (0, 5)):
+            for channel in range(targets.shape[-1]):
+                index = (1, *cell, channel)
+                old = preds[index]
+                preds[index] = old + eps
+                hi, _ = det.loss_and_grad(preds, targets)
+                preds[index] = old - eps
+                lo, _ = det.loss_and_grad(preds, targets)
+                preds[index] = old
+                assert grad[index] == pytest.approx((hi - lo) / (2 * eps), abs=1e-7), index
 
 
 class TestGridDecodeVectorized:

@@ -83,6 +83,26 @@ class TestLosses:
         assert loss == pytest.approx(0.0, abs=1e-6)
         assert np.allclose(grad, 0.0, atol=1e-6)
 
+    def test_bce_gradient_fd(self, rng):
+        logits = rng.standard_normal((3, 4))
+        targets = (rng.random((3, 4)) > 0.5).astype(float)
+        weight = rng.random((3, 4)) + 0.5
+        _, grad = binary_cross_entropy_with_logits(logits, targets, weight=weight)
+        eps = 1e-6
+        flat = logits.reshape(-1)
+        for i in (0, 5, 11):
+            old = flat[i]
+            flat[i] = old + eps
+            hi, _ = binary_cross_entropy_with_logits(logits, targets, weight=weight)
+            flat[i] = old - eps
+            lo, _ = binary_cross_entropy_with_logits(logits, targets, weight=weight)
+            flat[i] = old
+            assert grad.reshape(-1)[i] == pytest.approx((hi - lo) / (2 * eps), abs=1e-8)
+
+    def test_bce_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shapes must match"):
+            binary_cross_entropy_with_logits(np.zeros((2, 3)), np.zeros((3, 2)))
+
 
 class TestOptimizers:
     def _quadratic_param(self):

@@ -106,6 +106,47 @@ class TestQuantization:
             ADCModel(noise_lsb=sigma)
 
 
+class TestInPlaceSteps:
+    """``add_noise`` and ``quantize`` are the two steps a sensor read runs
+    on its own float64 buffer; together they must give what ``convert``
+    then ``to_float`` gives on a copy."""
+
+    @pytest.mark.parametrize("bits", [1, 8, 12, 16])
+    def test_quantize_equals_to_float_of_convert(self, bits):
+        adc = ADCModel(bits=bits)
+        v = np.concatenate([np.linspace(-0.5, 1.5, 1001), [0.0, 1.0, adc.lsb / 2]])
+        buf = v.copy()
+        adc.quantize(buf)
+        assert np.array_equal(buf, adc.to_float(adc.convert(v)))
+
+    def test_quantize_turns_negative_zero_into_zero(self):
+        buf = np.array([-0.0, -1e-9])
+        ADCModel().quantize(buf)
+        assert np.array_equal(buf, [0.0, 0.0])
+        assert not np.signbit(buf).any()
+
+    def test_add_noise_without_noise_draws_nothing(self):
+        adc = ADCModel(noise_lsb=0.0)
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        buf = np.full(16, 0.25)
+        adc.add_noise(buf, rng)
+        assert np.all(buf == 0.25)
+        assert rng.bit_generator.state == state
+
+    def test_add_noise_adds_draws_scaled_to_lsb(self):
+        adc = ADCModel(bits=8, noise_lsb=0.5)
+        buf = np.full(64, 0.5)
+        adc.add_noise(buf, np.random.default_rng(9))
+        draws = np.random.default_rng(9).standard_normal(64)
+        assert np.allclose(buf - 0.5, draws * 0.5 * adc.lsb, rtol=0, atol=1e-15)
+        # the in-place pair is the convert path for the same generator
+        quantized = buf.copy()
+        adc.quantize(quantized)
+        codes = adc.convert(np.full(64, 0.5), rng=np.random.default_rng(9))
+        assert np.array_equal(quantized, adc.to_float(codes))
+
+
 class TestEnergy:
     def test_paper_constant(self):
         """250 mW / 2 GS/s = 125 pJ per conversion."""

@@ -11,6 +11,7 @@ from repro.sensor import (
     SensorReadout,
     clip_box,
 )
+from repro.sensor.readout import as_box
 
 #: Mismatch-free, perfectly linear averaging.
 IDEAL = AnalogPoolingModel(
@@ -106,6 +107,15 @@ class TestHelpers:
 
     def test_clip_box_gone(self):
         assert clip_box((200, 0, 5, 5), 100, 100) is None
+
+    def test_as_box_reads_rois_and_sequences_as_python_ints(self):
+        from repro.core import ROI
+
+        assert as_box(ROI(1, 2, 3, 4)) == (1, 2, 3, 4)
+        for box in ((1.0, 2.0, 3.0, 4.0), np.array([1, 2, 3, 4], dtype=np.int64)):
+            got = as_box(box)
+            assert got == (1, 2, 3, 4)
+            assert all(type(v) is int for v in got)
 
 
 class TestNoiseAndMismatch:

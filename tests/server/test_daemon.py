@@ -210,6 +210,20 @@ class TestRequests:
                 assert exc.value.code == "bad-request"
                 assert client.ping()  # connection survives the rejection
 
+    def test_truncated_frame_drops_only_that_connection(self):
+        """A peer that dies mid-frame is gone: the daemon closes the
+        connection without an answer, and keeps serving others."""
+        with ReproServer(SYSTEM, workers=1, executor="serial") as server:
+            sock, reader = raw_socket(server)
+            try:
+                sock.sendall(b'{"type": "ping", "id": "cut')
+                sock.shutdown(socket.SHUT_WR)
+                assert reader.read() == b""
+            finally:
+                sock.close()
+            with ServerClient(*server.address) as client:
+                assert client.ping()
+
     def test_malformed_frame_keeps_connection_alive(self):
         with ReproServer(SYSTEM, workers=1, executor="serial") as server:
             sock, reader = raw_socket(server)

@@ -1,6 +1,7 @@
 """Tests for the content-addressed cache layer: keys, tiers, stats."""
 
 import json
+import pickle
 import threading
 
 import numpy as np
@@ -15,7 +16,14 @@ from repro.service import (
     SystemSpec,
     spec_fingerprint,
 )
-from repro.service.cache import SpecCache, TierStats, clip_key, result_key
+from repro.service.cache import (
+    SpecCache,
+    TierStats,
+    clip_key,
+    clip_nbytes,
+    pickled_nbytes,
+    result_key,
+)
 
 SYSTEM = SystemSpec(
     config=HiRISEConfig(pool_k=4, roi_pad_fraction=0.05, max_rois=8),
@@ -162,6 +170,16 @@ class TestSpecCache:
             cache.get_or_build("k", lambda: (_ for _ in ()).throw(RuntimeError("boom")))
         assert cache.get_or_build("k", lambda: "recovered") == "recovered"
 
+    def test_merge_stats_folds_worker_counters(self):
+        """Process workers count in their own copy; the parent folds each
+        worker's counters into its tier and into the caller's delta."""
+        cache = SpecCache("clip", capacity=4)
+        delta = TierStats()
+        cache.merge_stats(TierStats(hits=2, misses=1, evictions=0), delta)
+        cache.merge_stats(TierStats(hits=1, misses=0, evictions=1))
+        assert cache.stats == TierStats(hits=3, misses=1, evictions=1)
+        assert delta == TierStats(hits=2, misses=1, evictions=0)
+
     def test_peek_and_put(self):
         cache = SpecCache("result", capacity=2)
         hit, value = cache.peek("k")
@@ -187,6 +205,18 @@ class TestTierStats:
         b.merge(a)
         assert b == TierStats(hits=7, misses=4, evictions=1)
         assert "hit" in a.describe()
+
+    def test_entry_sizes_are_gauges_never_errors(self):
+        """A tier weighs clips by their frame buffers and results by their
+        pickled bytes; a value without either weighs 0 and never raises."""
+        from repro.stream import pedestrian_clip
+
+        clip = pedestrian_clip(n_frames=2, resolution=(32, 24))
+        assert clip_nbytes(clip) == clip.nbytes > 0
+        assert clip_nbytes(object()) == 0
+        row = {"frames": [1, 2, 3]}
+        assert pickled_nbytes(row) == len(pickle.dumps(row, protocol=pickle.HIGHEST_PROTOCOL))
+        assert pickled_nbytes(threading.Lock()) == 0
 
 
 class TestEngineCaching:

@@ -11,6 +11,7 @@ from repro.service import (
     UnknownComponentError,
     list_components,
 )
+from repro.service.registry import registry_epoch
 
 
 class TestRegistry:
@@ -39,6 +40,16 @@ class TestRegistry:
         assert "a" not in reg
         reg.register("a")(lambda: 2)
         assert reg.get("a")() == 2
+
+    def test_only_a_deletion_bumps_the_override_epoch(self):
+        """Engine caches fold the epoch into their keys: an added name
+        cannot retarget an existing spec, a deleted one can."""
+        reg = Registry("widget")
+        before = registry_epoch()
+        reg.register("a")(lambda: 1)
+        assert registry_epoch() == before
+        del reg["a"]
+        assert registry_epoch() == before + 1
 
     def test_unknown_name_error_lists_known(self):
         reg = Registry("widget")

@@ -12,7 +12,7 @@ from repro.service import (
     SpecError,
     SystemSpec,
 )
-from repro.service.spec import coerce_service_spec
+from repro.service.spec import coerce_service_spec, load_spec
 
 
 def rich_scenario() -> ScenarioSpec:
@@ -230,6 +230,27 @@ class TestCoercion:
         assert coerce_service_spec(system).system == system
         service = ServiceSpec(system=system)
         assert coerce_service_spec(service) is service
+
+
+class TestLoadSpec:
+    def test_reads_the_file_as_its_dict_coerces(self, tmp_path):
+        data = {"system": SystemSpec().to_dict(), "scenarios": [rich_scenario().to_dict()]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        assert load_spec(path) == coerce_service_spec(data)
+        assert load_spec(str(path)).scenarios == (rich_scenario(),)
+
+    def test_invalid_json_names_the_file(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"system": ')
+        with pytest.raises(SpecError, match=r"broken\.json: not valid JSON"):
+            load_spec(path)
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        with pytest.raises(SpecError, match=r"latin1\.json: not valid UTF-8"):
+            load_spec(path)
 
 
 class TestComputeDtype:

@@ -8,7 +8,12 @@ import pytest
 
 from repro.service import SOURCES as SOURCE_REGISTRY
 from repro.service import ComponentRef, Engine, ScenarioSpec, SpecError, SystemSpec
-from repro.stream.source import drone_traffic_clip, pedestrian_clip
+from repro.stream.source import (
+    drone_traffic_clip,
+    pedestrian_clip,
+    require_int,
+    require_real,
+)
 
 SOURCES = [
     pytest.param("pedestrian", pedestrian_clip, "n_walkers", id="pedestrian"),
@@ -129,6 +134,40 @@ class TestSourceParameters:
         )
         with pytest.raises(SpecError, match=f"scenario.source '{name}': {count} must be >= 0"):
             engine.run(request)
+
+
+class TestParamRules:
+    """The int and real rules every built-in factory checks its params
+    with, on spellings the source tests above do not reach: NumPy scalars
+    from a Python caller, a JSON null, a complex number."""
+
+    @pytest.mark.parametrize(
+        "check, value",
+        [
+            (require_int, np.int64(7)),
+            (require_int, np.uint8(0)),
+            (require_real, np.float32(0.5)),
+            (require_real, np.int16(3)),
+        ],
+        ids=["int64-int", "uint8-int", "float32-real", "int16-real"],
+    )
+    def test_numpy_scalars_count_as_their_kind(self, check, value):
+        check("param", value)
+
+    @pytest.mark.parametrize(
+        "check, value, kind",
+        [
+            (require_int, np.float64(7.0), "an int"),
+            (require_int, np.bool_(True), "an int"),
+            (require_real, np.bool_(False), "a real number"),
+            (require_real, None, "a real number"),
+            (require_real, 1j, "a real number"),
+        ],
+        ids=["float64-int", "numpy-bool-int", "numpy-bool-real", "none-real", "complex-real"],
+    )
+    def test_other_spellings_are_refused_by_name(self, check, value, kind):
+        with pytest.raises(ValueError, match=re.escape(f"param must be {kind}, got {value!r}")):
+            check("param", value)
 
 
 class TestSceneSweepLabel:
