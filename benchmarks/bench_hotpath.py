@@ -38,7 +38,17 @@ batched stage-2 inference:
    frame or each box alone and digitizes each read out of place, best of
    7 each.  Every pooled frame and crop must be byte-identical to the
    reference (gated in tiny mode too); at full size the noisy reads must
-   not be slower than the reference, within a 5% timing allowance.
+   not be slower than the reference, within a 5% timing allowance;
+8. **kernels** — ``block_reduce_mean`` at k in ``KERNEL_KS`` on a frame
+   of each ``KERNEL_CLIPS`` clip as float64, float32 and uint8, and
+   ``resize_bilinear`` of every clip's ground-truth crops to
+   ``RESIZE_HW``, against in-bench copies of the channel-last kernels
+   they replaced (``reference_block_mean``, ``reference_resize``), best
+   of ``KERNEL_ROUNDS`` each, timed alternately so that both sides see
+   the same host load.  Every output must be byte-identical to the
+   copy's, with its dtype and shape (gated in tiny mode too); at full
+   size the block mean at k = 4 must be ``BLOCK_MEAN_GATE`` times faster
+   than the copy on every frame, and the resize no slower.
 
 Everything measured lands in ``BENCH_hotpath.json`` at the repo root —
 the first entry of the ROADMAP's perf trajectory.
@@ -51,6 +61,7 @@ from __future__ import annotations
 
 import json
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +80,7 @@ from render_baseline import (
 from repro.bench import Table
 from repro.core import HiRISEConfig, classify_crops
 from repro.datasets.shapes import draw_person, draw_vehicle
-from repro.ml import CropClassifier, tiny_cnn
+from repro.ml import CropClassifier, resize_bilinear, tiny_cnn
 from repro.ml.classifier.crop import FLOAT32_LOGIT_ATOL, FLOAT32_LOGIT_RTOL
 from repro.sensor import (
     ADCModel,
@@ -124,6 +135,16 @@ SCENES = {
     "pedestrian_clip": (source._pedestrian_scene, "n_walkers"),
     "drone_traffic_clip": (source._drone_scene, "n_vehicles"),
 }
+#: Check 8: one frame per resolution the benchmark streams (160x120,
+#: 256x192, 320x240), each pooled at every k and as each frame dtype.
+KERNEL_CLIPS = ("serve-mix pedestrian", "stream-classify", "stream-reuse")
+KERNEL_KS = (1, 2, 4, 8)
+#: The classifier input side check 8 resizes ground-truth crops to.
+RESIZE_HW = (32, 32)
+#: Full-size floor on (channel-last copy) / ``block_reduce_mean`` at k = 4.
+BLOCK_MEAN_GATE = 1.3
+#: Check 8's best-of count per side (each call is well under 10 ms).
+KERNEL_ROUNDS = 25
 
 
 def make_classifier(dtype: str = "float64") -> CropClassifier:
@@ -202,10 +223,99 @@ def reference_digitize(voltages, noise, rng) -> np.ndarray:
     return codes.astype(np.float64) / (adc.levels - 1)
 
 
+def reference_block_mean(values, k: int) -> np.ndarray:
+    """The channel-last block mean ``block_reduce_mean`` replaced: the k²
+    sub-grids ``values[i::k, j::k]`` added in row-major ``(i, j)`` order
+    into the first, whose inner loop runs along the C channels, then
+    divided in place by k².  A byte-exact oracle that does not move when
+    the kernel under test does."""
+    h = (values.shape[0] // k) * k
+    w = (values.shape[1] // k) * k
+    floating = np.issubdtype(values.dtype, np.floating)
+    total = values[:h:k, :w:k].astype(values.dtype if floating else np.float64)
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                total += values[i:h:k, j:w:k]
+    total /= k * k
+    return total
+
+
+@lru_cache(maxsize=64)
+def _reference_resize_plan(in_hw, out_hw):
+    """``reference_resize``'s memoized row/column indices and ``(1 - f, f)``
+    weights, shaped to broadcast over ``(rows, cols, C)``."""
+    h, w = in_hw
+    oh, ow = out_hw
+    ys = np.clip((np.arange(oh) + 0.5) * h / oh - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(ow) + 0.5) * w / ow - 0.5, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    fy = (ys - y0)[:, None, None]
+    fx = (xs - x0)[:, None]
+    return (
+        y0, np.minimum(y0 + 1, h - 1), np.stack([1 - fy, fy]),
+        x0, np.minimum(x0 + 1, w - 1), np.stack([1 - fx, fx]),
+    )
+
+
+def reference_resize(image, out_hw) -> np.ndarray:
+    """The channel-last separable resize ``resize_bilinear`` replaced:
+    columns of ``(H, W, C)`` blended by ``np.take`` along the W axis, then
+    rows, each product and sum broadcast over the C channels."""
+    squeeze = image.ndim == 2
+    img = np.asarray(image, dtype=np.float64)
+    img = img[:, :, None] if squeeze else img
+    h, w, _ = img.shape
+    if (h, w) == tuple(out_hw):
+        out = img.copy()
+        return out[:, :, 0] if squeeze else out
+    y0, y1, fy, x0, x1, fx = _reference_resize_plan((h, w), tuple(out_hw))
+    cols = np.take(img, x0, axis=1) * fx[0] + np.take(img, x1, axis=1) * fx[1]
+    out = np.take(cols, y0, axis=0) * fy[0] + np.take(cols, y1, axis=0) * fy[1]
+    return out[:, :, 0] if squeeze else out
+
+
+def best_pair_ms(first, second, rounds: int = KERNEL_ROUNDS) -> tuple[float, float]:
+    """Best wall-clock of ``rounds`` calls of each of two callables, in
+    milliseconds, called in alternating order so that a burst of host
+    load lands on both sides rather than on one."""
+    best = [float("inf"), float("inf")]
+    for turn in range(rounds):
+        for side in (0, 1) if turn % 2 == 0 else (1, 0):
+            start = time.perf_counter()
+            (first, second)[side]()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best[0] * 1e3, best[1] * 1e3
+
+
+def kernel_frames(frame) -> dict:
+    """A float64 clip frame as float64, float32 and uint8 (rounded to
+    0..255) frames."""
+    return {
+        "float64": frame,
+        "float32": frame.astype(np.float32),
+        "uint8": np.rint(frame * 255).astype(np.uint8),
+    }
+
+
+def ground_truth_crops(clip) -> list:
+    """Every clipped ground-truth box of every frame, cut from the frame."""
+    crops = []
+    for frame, boxes in zip(clip.frames, clip.ground_truth):
+        height, width = frame.shape[:2]
+        for box in boxes:
+            clipped = clip_box(as_box(box), width, height)
+            if clipped:
+                x, y, w, h = clipped
+                crops.append(frame[y : y + h, x : x + w])
+    return crops
+
+
 def reference_pool(voltages) -> np.ndarray:
     """The default pooling circuit's chain at vdd 1, out of place."""
     model = AnalogPoolingModel()
-    merged = block_reduce_mean(voltages, READ_K)
+    merged = reference_block_mean(voltages, READ_K)
     normalized = np.clip(merged / 1.0, 0.0, 1.0)
     normalized = normalized - model.compression * normalized * (1.0 - normalized)
     shared = model.gain * normalized * 1.0 + model.offset_per_vdd * 1.0
@@ -504,6 +614,76 @@ def test_hotpath(benchmark, emit):
                     )
         emit("check 7: noisy reads no slower than the reference (5% timing allowance)")
 
+    # -- 8. kernels: each against a copy of the channel-last kernel it replaced
+    kernel_rows = {}
+    table = Table(
+        f"kernels, best of {KERNEL_ROUNDS} alternating (block_reduce_mean and resize_bilinear "
+        "vs in-bench copies of the channel-last kernels they replaced)",
+        ["kernel", "input", "reference ms", "ms", "speedup"],
+        aligns=["l", "l", "r", "r", "r"],
+    )
+
+    def compare(kernel, reference, inputs, label, **row):
+        for args in inputs:
+            got, want = kernel(*args), reference(*args)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), label
+            assert got.tobytes() == want.tobytes(), f"{kernel.__name__} {label}: != reference"
+        reference_ms, ms = best_pair_ms(
+            lambda: [reference(*args) for args in inputs],
+            lambda: [kernel(*args) for args in inputs],
+        )
+        kernel_rows[f"{kernel.__name__} {label}"] = {
+            **row,
+            "reference_ms": reference_ms,
+            "ms": ms,
+            "speedup": reference_ms / ms,
+            "bit_identical": True,
+        }
+        table.add_row(
+            kernel.__name__, label, f"{reference_ms:.3f}", f"{ms:.3f}",
+            f"{reference_ms / ms:.2f}x",
+        )
+
+    for name in KERNEL_CLIPS:
+        function, kwargs = RENDER_CLIPS[name]
+        frame = getattr(source, function)(seed=RENDER_SEED, **kwargs).frames[0]
+        width, height = kwargs["resolution"]
+        for dtype, values in kernel_frames(frame).items():
+            for k in KERNEL_KS:
+                compare(
+                    block_reduce_mean, reference_block_mean, [(values, k)],
+                    f"{width}x{height} {dtype} k={k}",
+                    resolution=[width, height], dtype=dtype, k=k,
+                )
+    for name, (function, kwargs) in RENDER_CLIPS.items():
+        crops = ground_truth_crops(getattr(source, function)(seed=RENDER_SEED, **kwargs))
+        assert crops, name
+        compare(
+            resize_bilinear, reference_resize, [(crop, RESIZE_HW) for crop in crops],
+            f"{name} ({len(crops)} crops)",
+            clip=name, n_crops=len(crops), out_hw=list(RESIZE_HW),
+        )
+    emit("\n" + table.render())
+    emit(f"check 8: kernels byte-identical to the channel-last copies ({len(kernel_rows)} rows)")
+    if TINY:
+        emit("check 8: speed gates skipped (tiny smoke mode)")
+    else:
+        for key, row in kernel_rows.items():
+            if "k" not in row:
+                floor = 1.0  # a resize row
+            elif row["k"] == READ_K:
+                floor = BLOCK_MEAN_GATE
+            else:
+                continue
+            assert row["speedup"] >= floor, (
+                f"{key}: {row['speedup']:.2f}x the channel-last copy, "
+                f"below the {floor}x floor"
+            )
+        emit(
+            f"check 8: block mean at k={READ_K} >= {BLOCK_MEAN_GATE}x the copy on "
+            "every frame; resize no slower than the copy on every clip"
+        )
+
     payload = {
         "experiment": "hotpath",
         "tiny": TINY,
@@ -548,6 +728,12 @@ def test_hotpath(benchmark, emit):
             "seed": RENDER_SEED,
             "pool_k": READ_K,
             "rows": read_rows,
+        },
+        "kernels": {
+            "rounds": KERNEL_ROUNDS,
+            "seed": RENDER_SEED,
+            "block_mean_gate": BLOCK_MEAN_GATE,
+            "rows": kernel_rows,
         },
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")

@@ -295,8 +295,10 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     """Expand files/directories into a sorted list of ``.py`` files.
 
     Directories are walked recursively; hidden directories and
-    ``__pycache__`` are skipped.  Sorting (posix order) fixes the walk
-    order so reports never depend on filesystem enumeration.
+    ``__pycache__`` below a walked directory are skipped (the directory's
+    own ancestors are not tested, so a tree under a dot-named directory is
+    still walked).  Sorting (posix order) fixes the walk order so reports
+    never depend on filesystem enumeration.
     """
     out: list[Path] = []
     for path in paths:
@@ -307,7 +309,7 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
                 for candidate in sorted(path.rglob("*.py"))
                 if not any(
                     part.startswith(".") or part == "__pycache__"
-                    for part in candidate.parts
+                    for part in candidate.relative_to(path).parts
                 )
             )
         else:

@@ -36,19 +36,21 @@ def ensure_channels(image: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _resize_plan(in_hw: tuple[int, int], out_hw: tuple[int, int]):
-    """Interpolation plan for one ``(in_hw, out_hw)`` pair, memoized.
+def _resize_plan(in_hw: tuple[int, int], out_hw: tuple[int, int], channels: int):
+    """Interpolation plan for one ``(in_hw, out_hw, channels)`` key, memoized.
 
     The serving hot path resizes every ROI crop to the classifier input
-    size, so the same few shape pairs recur thousands of times; the
+    size, so the same few shapes recur thousands of times; the
     index/weight tables depend only on the shapes, never on the pixels.
     Cached arrays are marked read-only (they are shared across calls) and
     the LRU keeps the footprint bounded — each plan is a few kB.
 
     Returns:
-        ``(y0, y1, fy, x0, x1, fx)`` — row and column source indices, and
-        the blend weights as ``(1 - f, f)`` pairs shaped to broadcast over
-        ``(rows, cols, C)`` (rows) and ``(cols, C)`` (columns).
+        ``(y0, y1, wy0, wy1, x0, x1, wx0, wx1)``: the source rows of each
+        output row and their ``(1 - f, f)`` blend weights shaped
+        ``(out_h, 1)``, then the source sample of each output sample
+        along a ``(H, W * channels)`` row, ``x * channels + channel``,
+        with the column weights repeated per channel.
     """
     h, w = in_hw
     oh, ow = out_hw
@@ -61,9 +63,19 @@ def _resize_plan(in_hw: tuple[int, int], out_hw: tuple[int, int]):
     x0 = np.floor(xs).astype(int)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None, None]
-    fx = (xs - x0)[:, None]
-    plan = (y0, y1, np.stack([1 - fy, fy]), x0, x1, np.stack([1 - fx, fx]))
+    fy = (ys - y0)[:, None]
+    fx = xs - x0
+    channel = np.arange(channels)
+    plan = (
+        y0,
+        y1,
+        1 - fy,
+        fy,
+        (x0[:, None] * channels + channel).ravel(),
+        (x1[:, None] * channels + channel).ravel(),
+        np.repeat(1 - fx, channels),
+        np.repeat(fx, channels),
+    )
     for table in plan:
         table.setflags(write=False)
     return plan
@@ -72,21 +84,24 @@ def _resize_plan(in_hw: tuple[int, int], out_hw: tuple[int, int]):
 def resize_bilinear(image: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     """Bilinear resize with edge clamping.
 
-    Interpolation index/weight tables are memoized per ``(in_hw, out_hw)``
-    shape pair (:func:`_resize_plan`), which is free on correctness: the
+    Interpolation index/weight tables are memoized per ``(in_hw, out_hw,
+    channels)`` (:func:`_resize_plan`), which is free on correctness: the
     plan depends only on the shapes, so outputs are bit-identical to an
-    uncached resize.  The blend is separable: every source row is blended
-    across columns first (``np.take``), then the output rows blend those
-    rows.  Each output pixel gets the same products and sums as the
-    four-corner gather, ``(p00 * (1 - fx) + p01 * fx) * (1 - fy) + (p10 *
-    (1 - fx) + p11 * fx) * fy``, so the result is bit-identical to it.
+    uncached resize.  The blend is separable and walks the image as
+    ``(H, W * C)`` rows: every source row is blended across columns first
+    (``np.take`` of each output sample's two source samples), then the
+    output rows blend those rows, so the inner loop of every gather,
+    multiply and add runs along a row rather than along the C channels.
+    Each output pixel gets the same products and sums as the four-corner
+    gather, ``(p00 * (1 - fx) + p01 * fx) * (1 - fy) + (p10 * (1 - fx) +
+    p11 * fx) * fy``, so the result is bit-identical to it.
 
     Args:
         image: ``(H, W)`` or ``(H, W, C)`` float array.
         out_hw: target ``(height, width)``.
 
     Returns:
-        Resized array with the same channel layout as the input.
+        A fresh resized array with the same channel layout as the input.
     """
     oh, ow = out_hw
     if oh < 1 or ow < 1:
@@ -98,10 +113,19 @@ def resize_bilinear(image: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
         out = img.copy()
         return out[:, :, 0] if squeeze else out
 
-    y0, y1, fy, x0, x1, fx = _resize_plan((h, w), (int(oh), int(ow)))
-    cols = np.take(img, x0, axis=1) * fx[0] + np.take(img, x1, axis=1) * fx[1]
-    out = np.take(cols, y0, axis=0) * fy[0] + np.take(cols, y1, axis=0) * fy[1]
-    return out[:, :, 0] if squeeze else out
+    y0, y1, wy0, wy1, x0, x1, wx0, wx1 = _resize_plan((h, w), (int(oh), int(ow)), c)
+    rows = img.reshape(h, w * c)
+    cols = _blend(np.take(rows, x0, axis=1), wx0, np.take(rows, x1, axis=1), wx1)
+    out = _blend(np.take(cols, y0, axis=0), wy0, np.take(cols, y1, axis=0), wy1)
+    return out.reshape((oh, ow) if squeeze else (oh, ow, c))
+
+
+def _blend(a: np.ndarray, wa: np.ndarray, b: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """``a * wa + b * wb``, computed in place in the fresh ``a`` and ``b``."""
+    a *= wa
+    b *= wb
+    a += b
+    return a
 
 
 def downscale_antialiased(image: np.ndarray, factor: float) -> np.ndarray:

@@ -167,20 +167,25 @@ def require_int(name: str, value, minimum: int | None = None) -> None:
 
 
 def require_real(name: str, value) -> None:
-    """Reject a component param that is not a real number; a bool is not
-    one (NumPy scalars count as their kind)."""
+    """Reject a component param that is not a finite real number; a bool
+    is not one (NumPy scalars count as their kind), nor is NaN, ±inf or
+    an int beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_motion(count_name: str, count: int, speed: float, jitter: float) -> None:
     """Reject source parameters that would render garbage or nothing: a
     count is an integer >= 0, ``speed`` and ``jitter`` are finite reals."""
     require_int(count_name, count, minimum=0)
-    for name, value in (("speed", speed), ("jitter", jitter)):
-        require_real(name, value)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    require_real("speed", speed)
+    require_real("jitter", jitter)
     if jitter < 0:
         raise ValueError(f"jitter must be >= 0, got {jitter}")
 

@@ -160,6 +160,16 @@ class TestFiltersAndApi:
         # a file named twice (directly and through its directory) is read once
         files = iter_python_files([tmp_path / "b.py", tmp_path])
         assert [f.relative_to(tmp_path).as_posix() for f in files] == ["a/z.py", "b.py"]
+        # Only parts below the walked directory are tested: its ancestors
+        # may be dot-named (a checkout under ~/.cache), while a hidden
+        # directory below it is still skipped.
+        root = (tmp_path / ".hid" / "pkg").resolve()
+        for rel in ("m.py", ".venv/x.py"):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(UNSEEDED)
+        assert [f.relative_to(root).as_posix() for f in iter_python_files([root])] == ["m.py"]
+        assert [f.rule_id for f in lint_paths([root])] == ["seeded-rng"]
+        assert iter_python_files([tmp_path]) == files
 
     def test_lock_scope_is_chosen_by_module_glob(self):
         scope = DEFAULT_CONFIG.lock_scope_for("src/repro/service/cache.py")

@@ -99,15 +99,29 @@ def _reference_resize(image, out_hw):
     return out[:, :, 0] if squeeze else out
 
 
+#: Element strategies per input dtype: the resize reads any of them as
+#: float64.
+RESIZE_ELEMENTS = {
+    np.float64: st.floats(-1e3, 1e3, allow_nan=False),
+    np.float32: st.floats(-1e3, 1e3, allow_nan=False, width=32),
+    np.uint8: st.integers(0, 255),
+}
+
+
 @st.composite
 def resize_cases(draw):
-    """An image (2-D, or 3-D with 1-4 channels) and a target size; the
+    """An image (2-D, or 3-D with 1-4 channels) in float64, float32 or
+    uint8, contiguous, Fortran-ordered or reversed, and a target size; the
     sides range over 1-40, so cases upscale, downscale and mix both."""
     h, w, oh, ow = (draw(st.integers(1, 40)) for _ in range(4))
     shape = (h, w) if draw(st.booleans()) else (h, w, draw(st.integers(1, 4)))
-    image = draw(
-        hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3, allow_nan=False))
-    )
+    dtype = draw(st.sampled_from(sorted(RESIZE_ELEMENTS, key=str)))
+    image = draw(hnp.arrays(dtype, shape, elements=RESIZE_ELEMENTS[dtype]))
+    layout = draw(st.sampled_from(["contiguous", "fortran", "reversed"]))
+    if layout == "fortran":
+        image = np.asfortranarray(image)
+    elif layout == "reversed":
+        image = image[::-1, ::-1]
     return image, (oh, ow)
 
 
@@ -121,8 +135,12 @@ class TestResizePlanCache:
         _resize_plan.cache_clear()
         expected = _reference_resize(img, out_hw)
         # Twice: a cold plan and a cached plan must both match.
-        assert np.array_equal(resize_bilinear(img, out_hw), expected)
-        assert np.array_equal(resize_bilinear(img, out_hw), expected)
+        for _ in range(2):
+            got = resize_bilinear(img, out_hw)
+            assert got.dtype == np.float64 and got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert not np.shares_memory(got, img)
 
     def test_repeated_shapes_hit_the_cache(self):
         from repro.ml.image import _resize_plan
@@ -138,10 +156,21 @@ class TestResizePlanCache:
     def test_cached_plan_is_read_only(self):
         from repro.ml.image import _resize_plan
 
-        plan = _resize_plan((10, 10), (4, 4))
+        plan = _resize_plan((10, 10), (4, 4), 3)
         for table in plan:
             with pytest.raises(ValueError):
                 table[...] = 0
+
+    def test_a_2d_image_shares_its_single_channel_plan(self):
+        from repro.ml.image import _resize_plan
+
+        _resize_plan.cache_clear()
+        gray = np.random.default_rng(4).random((17, 23))
+        flat = resize_bilinear(gray, (8, 8))
+        assert flat.shape == (8, 8)
+        assert np.array_equal(resize_bilinear(gray[:, :, None], (8, 8))[:, :, 0], flat)
+        info = _resize_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_output_is_writable_and_fresh(self):
         img = np.ones((6, 6, 3))

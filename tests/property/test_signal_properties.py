@@ -20,21 +20,38 @@ images = hnp.arrays(
 )
 
 
+#: The input dtypes the block mean serves: float64 voltages, a float32
+#: frame, a uint8 image through ``digital_avg_pool``'s callers.
+POOL_DTYPES = (np.float64, np.float32, np.uint8)
+
+
 @st.composite
 def pool_inputs(draw):
-    """A non-negative ``(H, W)`` or ``(H, W, C)`` input, ragged edges
-    allowed, either contiguous or a strided view, plus its block size."""
+    """A non-negative ``(H, W)`` or ``(H, W, C)`` input in one of
+    ``POOL_DTYPES``, ragged edges allowed, contiguous, Fortran-ordered or
+    a strided or reversed view, plus its block size."""
     k = draw(st.integers(1, 8))
     channels = draw(st.sampled_from([(), (1,), (2,), (3,), (4,)]))
     height = draw(st.integers(k, 3 * k + 2))
     width = draw(st.integers(k, 3 * k + 2))
-    step = draw(st.sampled_from([1, 2]))
+    dtype = draw(st.sampled_from(POOL_DTYPES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    base = rng.random((height * step, width * step, *channels))
-    # Magnitudes spread over six decades, so a change of summation order
-    # shows in the last bits.
-    base *= 10.0 ** rng.integers(-3, 3, base.shape)
-    return base[::step, ::step], k
+    shape = (2 * height, 2 * width, *channels)
+    if dtype is np.uint8:
+        base = rng.integers(0, 256, shape, dtype=np.uint8)
+    else:
+        base = rng.random(shape)
+        # Magnitudes spread over six decades, so a change of summation
+        # order shows in the last bits.
+        base *= 10.0 ** rng.integers(-3, 3, base.shape)
+        base = base.astype(dtype)
+    views = {
+        "contiguous": lambda b: np.ascontiguousarray(b[:height, :width]),
+        "fortran": lambda b: np.asfortranarray(b[:height, :width]),
+        "strided": lambda b: b[::2, ::2],
+        "reversed": lambda b: b[::-2, ::-2],
+    }
+    return views[draw(st.sampled_from(sorted(views)))](base), k
 
 
 @st.composite
@@ -55,14 +72,25 @@ def voltage_views(draw):
     return views[draw(st.sampled_from(sorted(views)))](base)
 
 
+def mean_dtype(values):
+    """``np.mean``'s result dtype: floating inputs keep theirs, the rest
+    average in float64."""
+    return np.mean(values).dtype
+
+
 def left_fold_block_mean(values, k):
-    """Oracle: each block's elements (per channel) left-folded in
-    row-major order, then divided by k * k."""
-    out = np.empty((values.shape[0] // k, values.shape[1] // k, *values.shape[2:]))
+    """Oracle: each block's elements (per channel), cast to the mean's
+    dtype, left-folded in row-major order, then divided by k * k."""
+    dtype = mean_dtype(values)
+    out = np.empty(
+        (values.shape[0] // k, values.shape[1] // k, *values.shape[2:]), dtype
+    )
     for p in range(out.shape[0]):
         for q in range(out.shape[1]):
             block = [
-                values[p * k + i, q * k + j] for i in range(k) for j in range(k)
+                values[p * k + i, q * k + j].astype(dtype)
+                for i in range(k)
+                for j in range(k)
             ]
             out[p, q] = functools.reduce(operator.add, block) / (k * k)
     return out
@@ -82,14 +110,18 @@ class TestPoolingProperties:
     def test_block_mean_is_the_row_major_left_fold(self, case):
         values, k = case
         got = block_reduce_mean(values, k)
-        assert got.dtype == np.float64
+        assert got.dtype == mean_dtype(values)
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, values)
         assert np.array_equal(got, left_fold_block_mean(values, k))
         # NumPy's reshape-mean sums 2-D and single-channel blocks pairwise,
         # so it may differ in the last bits.  On non-negative input the two
         # sums' relative errors are at most (k*k - 1) and ~log2(k*k) unit
-        # roundoffs, under 1e-14 together for k <= 8.
+        # roundoffs, plus one per division: under 90 together for k <= 8
+        # (1e-14 in float64).
+        unit_roundoff = np.finfo(got.dtype).eps / 2
         np.testing.assert_allclose(
-            got, reshape_block_mean(values, k), rtol=1e-14, atol=0
+            got, reshape_block_mean(values, k), rtol=90 * unit_roundoff, atol=0
         )
 
     @given(images, st.sampled_from([1, 2, 4]))

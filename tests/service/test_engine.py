@@ -1,6 +1,7 @@
 """Tests for the Engine façade: spec loading, serving, and batch identity."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -99,6 +100,14 @@ class TestConstruction:
             ("grid", {"classes": "ab"}, "classes"),
             ("grid", {"classes": []}, "classes"),
             ("grid", {"seed": 1.5}, "seed"),
+            # NaN or ±inf would build a detector that finds nothing or
+            # never suppresses.
+            ("ground-truth", {"score": math.nan}, "score must be finite"),
+            ("ground-truth", {"score": math.inf}, "score must be finite"),
+            ("grid", {"score_threshold": math.nan}, "score_threshold must be finite"),
+            ("grid", {"score_threshold": -math.inf}, "score_threshold must be finite"),
+            ("grid", {"nms_iou": math.inf}, "nms_iou must be finite"),
+            ("grid", {"nms_iou": math.nan}, "nms_iou must be finite"),
         ],
     )
     def test_bad_detector_params_raise_spec_error(self, name, params, field):

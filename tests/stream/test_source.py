@@ -139,7 +139,8 @@ class TestSourceParameters:
 class TestParamRules:
     """The int and real rules every built-in factory checks its params
     with, on spellings the source tests above do not reach: NumPy scalars
-    from a Python caller, a JSON null, a complex number."""
+    from a Python caller, a JSON null, a complex number, a non-finite
+    real."""
 
     @pytest.mark.parametrize(
         "check, value",
@@ -168,6 +169,15 @@ class TestParamRules:
     def test_other_spellings_are_refused_by_name(self, check, value, kind):
         with pytest.raises(ValueError, match=re.escape(f"param must be {kind}, got {value!r}")):
             check("param", value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, np.float32(np.nan), np.float64(-np.inf), 10**400],
+        ids=["nan", "inf", "-inf", "float32-nan", "float64--inf", "int-beyond-float"],
+    )
+    def test_a_real_is_finite(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"param must be finite, got {value}")):
+            require_real("param", value)
 
 
 class TestSceneSweepLabel:
