@@ -656,12 +656,12 @@ def test_hotpath(benchmark, emit):
                     resolution=[width, height], dtype=dtype, k=k,
                 )
     for name, (function, kwargs) in RENDER_CLIPS.items():
-        crops = ground_truth_crops(getattr(source, function)(seed=RENDER_SEED, **kwargs))
-        assert crops, name
+        gt_crops = ground_truth_crops(getattr(source, function)(seed=RENDER_SEED, **kwargs))
+        assert gt_crops, name
         compare(
-            resize_bilinear, reference_resize, [(crop, RESIZE_HW) for crop in crops],
-            f"{name} ({len(crops)} crops)",
-            clip=name, n_crops=len(crops), out_hw=list(RESIZE_HW),
+            resize_bilinear, reference_resize, [(crop, RESIZE_HW) for crop in gt_crops],
+            f"{name} ({len(gt_crops)} crops)",
+            clip=name, n_crops=len(gt_crops), out_hw=list(RESIZE_HW),
         )
     emit("\n" + table.render())
     emit(f"check 8: kernels byte-identical to the channel-last copies ({len(kernel_rows)} rows)")

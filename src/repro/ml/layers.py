@@ -173,14 +173,6 @@ class Conv2D(Layer):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Convolve an ``(N, H, W, C)`` batch into ``(N, OH, OW, O)``.
-
-        Each output element is one fixed-length row-dot over the k*k*C
-        taps.  The bias is then added to the fresh product viewed as
-        ``(N * OH, OW * O)`` rows, tiled OW times along a row: the same
-        adds as broadcasting the length-O vector, with an inner loop that
-        runs along the row instead of over the O channels.
-        """
         xp = _pad_nhwc(x, self.pad)
         k, s = self.kernel, self.stride
         windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
@@ -195,11 +187,7 @@ class Conv2D(Layer):
         # repro: lint-ok[no-bare-matmul-in-inference] fixed row-dot, batch-invariant
         out = cols @ w_mat
         if self.b is not None:
-            flat = out.reshape(n * oh, ow * out.shape[-1])
-            # The bias tiled OW times (ndarray.repeat: np.tile's Python
-            # overhead outweighs the saving on a small late-layer output).
-            flat += self.b.value[None, :].repeat(ow, axis=0).ravel()
-            out = flat.reshape(out.shape)
+            out += self.b.value
         if training:
             self._cache = (x.shape, cols)
         return out

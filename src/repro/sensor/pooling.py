@@ -18,6 +18,7 @@ paper compares against in Table 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,12 +45,14 @@ def block_reduce_mean(values: np.ndarray, k: int) -> np.ndarray:
     NumPy's reshape-mean sums in this order on channel-last input with
     C >= 2 (bit-identical), but pairwise per block row on 2-D input.
 
-    On ``(H, W, C)`` input with C >= 2 and k >= 2 the sub-grids are
-    added channel-major, into a fresh ``(H/k, C, W/k)`` buffer, so the
-    inner loop of every add runs along a row of W/k samples instead of
-    along the C channels; the quotient is then written channel-last.  The
-    same adds run in the same order, so every output byte is the same as
-    a channel-last fold's.
+    The sub-grids are added channel-major: through the ``(H, C, W)`` view
+    of the input (2-D input is C = 1) into a fresh ``(H/k, C, W/k)``
+    buffer, so the inner loop of every add runs along a row of W/k
+    samples instead of along the C channels.  The buffer is separate
+    because adding through a transposed view of the channel-last result
+    would let NumPy's iterator loop over the channels again.  The quotient
+    is then written channel-last.  At k = 1 every block is one element,
+    and the mean is a plain copy.
 
     Args:
         values: ``(H, W)`` or ``(H, W, C)`` array.
@@ -61,36 +64,21 @@ def block_reduce_mean(values: np.ndarray, k: int) -> np.ndarray:
         otherwise (``np.mean``'s rule).
     """
     _check_pool_args(values.shape[0], values.shape[1], k)
+    dtype = values.dtype if np.issubdtype(values.dtype, np.floating) else np.float64
+    if k == 1:
+        return values.astype(dtype, order="C")
     h = (values.shape[0] // k) * k
     w = (values.shape[1] // k) * k
-    dtype = values.dtype if np.issubdtype(values.dtype, np.floating) else np.float64
-    # 2-D and single-channel input already add along a row, and at k = 1
-    # the two transposing copies would cost 3-6x the plain one.
-    if k > 1 and values.ndim == 3 and values.shape[2] > 1:
-        return _channel_major_block_mean(values[:h, :w], k, dtype)
-    total = values[:h:k, :w:k].astype(dtype, order="C")
-    for i in range(k):
-        for j in range(k):
-            if i or j:
-                total += values[i:h:k, j:w:k]
-    total /= k * k
-    return total
-
-
-def _channel_major_block_mean(values: np.ndarray, k: int, dtype) -> np.ndarray:
-    """:func:`block_reduce_mean`'s fold of cropped ``(H, W, C)`` input,
-    accumulated in a separate ``(H/k, C, W/k)`` buffer: adding through a
-    transposed view of the channel-last result would let NumPy's iterator
-    loop over the channels again."""
-    grid = values.transpose(0, 2, 1)
+    channels = math.prod(values.shape[2:])
+    grid = values[:h, :w].reshape(h, w, channels).transpose(0, 2, 1)
     total = grid[::k, :, ::k].astype(dtype, order="C")
     for i in range(k):
         for j in range(k):
             if i or j:
                 total += grid[i::k, :, j::k]
-    height, channels, width = total.shape
-    out = np.empty((height, width, channels), dtype)
-    return np.divide(total.transpose(0, 2, 1), k * k, out=out)
+    out = np.empty((h // k, w // k, channels), dtype)
+    np.divide(total.transpose(0, 2, 1), k * k, out=out)
+    return out.reshape(out.shape[:2] + values.shape[2:])
 
 
 @lru_cache(maxsize=32)
